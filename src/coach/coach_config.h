@@ -29,11 +29,6 @@ struct CoachConfig {
   /// fluency self-consistency; see coach/verifier.h). Off by default to
   /// match the published system.
   bool verify_expansions = false;
-  /// Apply rules through the compiled matcher tables (docs/RULE_ENGINE.md)
-  /// instead of per-rule table probing. Output is byte-identical either
-  /// way — the equivalence suite pins that down — so this exists for A/B
-  /// benchmarking and as an escape hatch (`--rule-engine scan`).
-  bool compiled_rules = true;
 };
 
 }  // namespace coach

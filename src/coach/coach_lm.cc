@@ -19,26 +19,16 @@ namespace coachlm {
 namespace coach {
 namespace {
 
-/// Picks the i-th phrase (rotating) from a support table restricted to
-/// entries above min_support; empty when none qualify.
-std::string RotatingPhrase(const std::map<std::string, size_t>& table,
-                           size_t min_support, Rng* rng) {
-  const auto phrases = lm::RuleStore::PhrasesAbove(table, min_support);
-  if (phrases.empty()) return "";
-  return phrases[rng->NextBelow(phrases.size())];
-}
-
-/// RotatingPhrase over a precompiled phrase vector (same contents as
-/// PhrasesAbove would return, frozen at compile time). The RNG is drawn
-/// only when the list is non-empty, exactly like RotatingPhrase — the two
-/// engines must consume identical RNG streams.
+/// Picks a phrase from a compiled rotation table. The RNG is drawn only
+/// when the table is non-empty — part of the draw order the determinism
+/// goldens pin down.
 std::string RotatingFromVector(const std::vector<std::string>& phrases,
                                Rng* rng) {
   if (phrases.empty()) return "";
   return phrases[rng->NextBelow(phrases.size())];
 }
 
-/// Per-text firing/prefilter counters for the compiled engine. The sums
+/// Per-text firing/prefilter counters of rule application. The sums
 /// are commutative, so parallel revision serializes them to the same
 /// bytes at any thread count.
 void EmitRuleFireMetrics(size_t fired, const lm::RuleMatcher& matcher) {
@@ -47,9 +37,8 @@ void EmitRuleFireMetrics(size_t fired, const lm::RuleMatcher& matcher) {
   CountMetric("rules.prefilter_rejected", matcher.prefilter_rejected());
 }
 
-/// The coach's subject guess for disambiguation: the first pair of
-/// adjacent content words in the response (a purely textual heuristic —
-/// the model has no access to the topic bank).
+}  // namespace
+
 std::string GuessSubject(const InstructionPair& pair) {
   const auto tokens = tokenizer::WordTokenize(pair.output.empty()
                                                   ? pair.input
@@ -67,95 +56,20 @@ std::string GuessSubject(const InstructionPair& pair) {
   return first;
 }
 
-}  // namespace
-
-CoachLm::CoachLm(CoachConfig config, lm::RuleStore rules)
-    : config_(std::move(config)),
-      rules_(std::move(rules)),
-      backbone_(std::make_shared<lm::BackboneModel>(config_.backbone)) {
-  // An α = 0 store never reaches the rule-application path (ReviseToText
-  // echoes), so there is nothing worth compiling.
-  if (!config_.compiled_rules || rules_.empty()) return;
-  if (Observability::Enabled()) {
-    // Timed through the observability clock, so the deterministic report
-    // mode sees a schedule-independent duration.
-    Clock* clock = Observability::Default().clock();
-    const int64_t start_micros = clock->NowMicros();
-    compiled_ = std::make_shared<const lm::CompiledRuleSet>(
-        rules_, config_.min_rule_support);
-    CountMetric("rules.compiled");
-    CountMetric("rules.compile_micros",
-                static_cast<uint64_t>(clock->NowMicros() - start_micros));
-    SetGaugeMetric("rules.automaton_states",
-                   static_cast<int64_t>(
-                       compiled_->matcher_automaton().num_states()));
-    SetGaugeMetric("rules.patterns",
-                   static_cast<int64_t>(compiled_->num_patterns()));
-  } else {
-    compiled_ = std::make_shared<const lm::CompiledRuleSet>(
-        rules_, config_.min_rule_support);
-  }
-}
-
-std::string CoachLm::ReviseInstruction(const InstructionPair& pair,
-                                       Rng* rng) const {
-  if (compiled_ != nullptr) return ReviseInstructionCompiled(pair, rng);
+std::string ApplyInstructionRules(const lm::CompiledRuleSet& rules,
+                                  const InstructionPair& pair, Rng* rng) {
   std::string text = pair.instruction;
-  const size_t min_support = config_.min_rule_support;
-  // Learned word substitutions (spelling repairs the experts taught).
-  for (const auto& [from, targets] : rules_.token_subs) {
-    if (!strings::Contains(text, from)) continue;
-    const std::string to = rules_.BestSubstitution(from, min_support);
-    if (!to.empty()) text = strings::ReplaceAll(text, from, to);
-  }
-  // Learned clause removals (infeasible requirements).
-  for (const std::string& phrase :
-       lm::RuleStore::PhrasesAbove(rules_.strip_phrases, min_support)) {
-    const size_t at = text.find(phrase);
-    if (at != std::string::npos) {
-      text.erase(at, phrase.size());
-      text = strings::CollapseWhitespace(text);
-    }
-  }
-  // Learned filler disambiguation: a phrase replaced with *varying*
-  // content across training pairs means "substitute the concrete subject".
-  for (const auto& [filler, replacements] : rules_.filler_replacements) {
-    if (replacements.size() < 2) continue;
-    if (!strings::Contains(text, filler)) continue;
-    const std::string subject = GuessSubject(pair);
-    if (!subject.empty()) {
-      text = strings::ReplaceAll(text, filler, subject);
-    }
-  }
-  if (rules_.capitalize_support >= min_support) {
-    text = repair::CapitalizeSentences(text);
-  }
-  // Learned context enrichment for bare instructions.
-  if (strings::CountWords(text) < 12 &&
-      rng->NextBool(rules_.context_add_rate)) {
-    const std::string scaffold =
-        RotatingPhrase(rules_.context_exemplars, min_support, rng);
-    if (!scaffold.empty()) text += " " + scaffold;
-  }
-  return strings::Trim(text);
-}
-
-std::string CoachLm::ReviseInstructionCompiled(const InstructionPair& pair,
-                                               Rng* rng) const {
-  // Mirrors ReviseInstruction rule for rule: same families, same order,
-  // same RNG draws — only the "does this rule fire, and where?" question
-  // is answered by the shared matcher instead of per-rule string scans.
-  const lm::CompiledRuleSet& compiled = *compiled_;
-  std::string text = pair.instruction;
-  lm::RuleMatcher matcher(compiled, text);
+  lm::RuleMatcher matcher(rules, text);
   size_t fired = 0;
-  for (const lm::CompiledTokenSub& sub : compiled.token_subs()) {
+  // Learned word substitutions (spelling repairs the experts taught).
+  for (const lm::CompiledTokenSub& sub : rules.token_subs()) {
     if (!matcher.Contains(sub.pattern, text)) continue;
     text = strings::ReplaceAll(text, sub.from, sub.to);
     matcher.NoteReplacement(sub.to);
     ++fired;
   }
-  for (const lm::CompiledPhrase& phrase : compiled.strip_phrases()) {
+  // Learned clause removals (infeasible requirements).
+  for (const lm::CompiledPhrase& phrase : rules.strip_phrases()) {
     const size_t at = matcher.FirstBegin(phrase.pattern, text);
     if (at == automaton::kNotFound) continue;
     text.erase(at, phrase.text.size());
@@ -165,7 +79,9 @@ std::string CoachLm::ReviseInstructionCompiled(const InstructionPair& pair,
     matcher.NoteErasure();
     ++fired;
   }
-  for (const lm::CompiledPhrase& filler : compiled.fillers()) {
+  // Learned filler disambiguation: a phrase replaced with *varying*
+  // content across training pairs means "substitute the concrete subject".
+  for (const lm::CompiledPhrase& filler : rules.fillers()) {
     if (!matcher.Contains(filler.pattern, text)) continue;
     const std::string subject = GuessSubject(pair);
     if (!subject.empty()) {
@@ -174,17 +90,94 @@ std::string CoachLm::ReviseInstructionCompiled(const InstructionPair& pair,
       ++fired;
     }
   }
-  if (compiled.capitalize()) {
+  if (rules.capitalize()) {
     text = repair::CapitalizeSentences(text);
   }
+  // Learned context enrichment for bare instructions.
   if (strings::CountWords(text) < 12 &&
-      rng->NextBool(compiled.context_add_rate())) {
+      rng->NextBool(rules.context_add_rate())) {
     const std::string scaffold =
-        RotatingFromVector(compiled.context_exemplars(), rng);
+        RotatingFromVector(rules.context_exemplars(), rng);
     if (!scaffold.empty()) text += " " + scaffold;
   }
   EmitRuleFireMetrics(fired, matcher);
   return strings::Trim(text);
+}
+
+void ApplyResponseRules(const lm::CompiledRuleSet& rules,
+                        std::string* text_out) {
+  std::string& text = *text_out;
+  lm::RuleMatcher matcher(rules, text);
+  size_t fired = 0;
+  for (const lm::CompiledTokenSub& sub : rules.token_subs()) {
+    if (!matcher.Contains(sub.pattern, text)) continue;
+    text = strings::ReplaceAll(text, sub.from, sub.to);
+    matcher.NoteReplacement(sub.to);
+    ++fired;
+  }
+  for (const lm::CompiledPhrase& opener : rules.openers()) {
+    if (matcher.StartsWith(opener.pattern, text)) {
+      text = strings::Trim(text.substr(opener.text.size()));
+      matcher.NoteErasure();
+      ++fired;
+      break;
+    }
+  }
+  // Tone alignment: the experts' consistently warm outputs (high learned
+  // closing rate) teach the model to drop robotic boilerplate, even when
+  // no explicit opener-deletion example made it into C_alpha.
+  if (rules.closing_rate() > 0.3) {
+    const size_t opener_len = lm::MechanicalOpenerLength(text);
+    if (opener_len > 0) {
+      text = strings::Trim(text.substr(opener_len));
+      matcher.NoteErasure();
+    }
+  }
+  for (const lm::CompiledPhrase& token : rules.strip_tokens()) {
+    if (matcher.Contains(token.pattern, text)) {
+      text = strings::Trim(strings::ReplaceAll(text, token.text, ""));
+      matcher.NoteErasure();
+      ++fired;
+    }
+  }
+  if (rules.reflow() && !strings::Contains(text, "\n")) {
+    if (strings::Contains(text, " - ") || strings::Contains(text, " 2. ")) {
+      text = repair::ReflowLists(text);
+    }
+    text = repair::CollapseSpaces(text);
+  }
+  if (rules.remove_doubled() && !strings::Contains(text, "\n")) {
+    text = repair::RemoveDoubledWords(text);
+  }
+  if (rules.capitalize()) {
+    text = repair::CapitalizeSentences(text);
+  }
+  EmitRuleFireMetrics(fired, matcher);
+}
+
+CoachLm::CoachLm(CoachConfig config, lm::RuleStore rules)
+    : config_(std::move(config)),
+      rules_(std::move(rules)),
+      backbone_(std::make_shared<lm::BackboneModel>(config_.backbone)) {
+  // An α = 0 store never reaches rule application (ReviseToText echoes),
+  // so there is nothing worth compiling.
+  if (rules_.empty()) return;
+  // Timed through the observability clock, so the deterministic report
+  // mode sees a schedule-independent duration.
+  Clock* clock =
+      Observability::Enabled() ? Observability::Default().clock() : nullptr;
+  const int64_t start_micros = clock != nullptr ? clock->NowMicros() : 0;
+  compiled_ = std::make_shared<const lm::CompiledRuleSet>(
+      rules_, config_.min_rule_support);
+  if (clock == nullptr) return;
+  CountMetric("rules.compiled");
+  CountMetric("rules.compile_micros",
+              static_cast<uint64_t>(clock->NowMicros() - start_micros));
+  SetGaugeMetric("rules.automaton_states",
+                 static_cast<int64_t>(
+                     compiled_->matcher_automaton().num_states()));
+  SetGaugeMetric("rules.patterns",
+                 static_cast<int64_t>(compiled_->num_patterns()));
 }
 
 std::string CoachLm::ComposeExpansion(const std::string& context,
@@ -193,14 +186,7 @@ std::string CoachLm::ComposeExpansion(const std::string& context,
   const auto retrieved =
       backbone_->RetrieveRelevant(context, existing, max_new);
   std::string out;
-  // The compiled markers vector is exactly what PhrasesAbove returns for
-  // this table, frozen at compile time — same contents, same order.
-  std::vector<std::string> markers_scratch;
-  const std::vector<std::string>& markers =
-      compiled_ != nullptr
-          ? compiled_->markers()
-          : (markers_scratch = lm::RuleStore::PhrasesAbove(
-                 rules_.markers, config_.min_rule_support));
+  const std::vector<std::string>& markers = compiled_->markers();
   const ExpansionVerifier verifier(backbone_.get());
   for (const std::string& sentence : retrieved) {
     std::string line = backbone_->ApplyFluencyNoise(sentence, rng);
@@ -255,101 +241,6 @@ std::string CoachLm::ComposeRewrite(const InstructionPair& pair,
   return strings::Trim(fresh);
 }
 
-void CoachLm::ApplyResponseRepairs(std::string* text_out) const {
-  std::string& text = *text_out;
-  const size_t min_support = config_.min_rule_support;
-  for (const auto& [from, targets] : rules_.token_subs) {
-    if (!strings::Contains(text, from)) continue;
-    const std::string to = rules_.BestSubstitution(from, min_support);
-    if (!to.empty()) text = strings::ReplaceAll(text, from, to);
-  }
-  for (const std::string& opener :
-       lm::RuleStore::PhrasesAbove(rules_.opener_removals, min_support)) {
-    if (strings::StartsWith(text, opener)) {
-      text = strings::Trim(text.substr(opener.size()));
-      break;
-    }
-  }
-  // Tone alignment: the experts' consistently warm outputs (high learned
-  // closing rate) teach the model to drop robotic boilerplate, even when
-  // no explicit opener-deletion example made it into C_alpha.
-  if (rules_.closing_rate > 0.3) {
-    const size_t opener_len = lm::MechanicalOpenerLength(text);
-    if (opener_len > 0) {
-      text = strings::Trim(text.substr(opener_len));
-    }
-  }
-  for (const std::string& token :
-       lm::RuleStore::PhrasesAbove(rules_.strip_tokens, min_support)) {
-    if (strings::Contains(text, token)) {
-      text = strings::Trim(strings::ReplaceAll(text, token, ""));
-    }
-  }
-  if (rules_.reflow_support >= min_support &&
-      !strings::Contains(text, "\n")) {
-    if (strings::Contains(text, " - ") || strings::Contains(text, " 2. ")) {
-      text = repair::ReflowLists(text);
-    }
-    text = repair::CollapseSpaces(text);
-  }
-  if (rules_.doubled_removal_support >= min_support &&
-      !strings::Contains(text, "\n")) {
-    text = repair::RemoveDoubledWords(text);
-  }
-  if (rules_.capitalize_support >= min_support) {
-    text = repair::CapitalizeSentences(text);
-  }
-}
-
-void CoachLm::ApplyResponseRepairsCompiled(std::string* text_out) const {
-  // Mirrors ApplyResponseRepairs rule for rule; see ReviseInstructionCompiled.
-  const lm::CompiledRuleSet& compiled = *compiled_;
-  std::string& text = *text_out;
-  lm::RuleMatcher matcher(compiled, text);
-  size_t fired = 0;
-  for (const lm::CompiledTokenSub& sub : compiled.token_subs()) {
-    if (!matcher.Contains(sub.pattern, text)) continue;
-    text = strings::ReplaceAll(text, sub.from, sub.to);
-    matcher.NoteReplacement(sub.to);
-    ++fired;
-  }
-  for (const lm::CompiledPhrase& opener : compiled.openers()) {
-    if (matcher.StartsWith(opener.pattern, text)) {
-      text = strings::Trim(text.substr(opener.text.size()));
-      matcher.NoteErasure();
-      ++fired;
-      break;
-    }
-  }
-  if (compiled.closing_rate() > 0.3) {
-    const size_t opener_len = lm::MechanicalOpenerLength(text);
-    if (opener_len > 0) {
-      text = strings::Trim(text.substr(opener_len));
-      matcher.NoteErasure();
-    }
-  }
-  for (const lm::CompiledPhrase& token : compiled.strip_tokens()) {
-    if (matcher.Contains(token.pattern, text)) {
-      text = strings::Trim(strings::ReplaceAll(text, token.text, ""));
-      matcher.NoteErasure();
-      ++fired;
-    }
-  }
-  if (compiled.reflow() && !strings::Contains(text, "\n")) {
-    if (strings::Contains(text, " - ") || strings::Contains(text, " 2. ")) {
-      text = repair::ReflowLists(text);
-    }
-    text = repair::CollapseSpaces(text);
-  }
-  if (compiled.remove_doubled() && !strings::Contains(text, "\n")) {
-    text = repair::RemoveDoubledWords(text);
-  }
-  if (compiled.capitalize()) {
-    text = repair::CapitalizeSentences(text);
-  }
-  EmitRuleFireMetrics(fired, matcher);
-}
-
 std::string CoachLm::ReviseResponse(const InstructionPair& pair,
                                     const std::string& new_instruction,
                                     Rng* rng) const {
@@ -371,10 +262,8 @@ std::string CoachLm::ReviseResponse(const InstructionPair& pair,
     if (!fresh.empty()) {
       text = fresh;
     }
-  } else if (compiled_ != nullptr) {
-    ApplyResponseRepairsCompiled(&text);
   } else {
-    ApplyResponseRepairs(&text);
+    ApplyResponseRules(*compiled_, &text);
   }
 
   // Learned expansion: grow thin responses toward the expert target
@@ -397,10 +286,7 @@ std::string CoachLm::ReviseResponse(const InstructionPair& pair,
   const std::string tail =
       text.size() > 120 ? text.substr(text.size() - 120) : text;
   if (!lm::LooksLikeClosing(tail) && rng->NextBool(rules_.closing_rate)) {
-    const std::string closing =
-        compiled_ != nullptr
-            ? RotatingFromVector(compiled_->closings(), rng)
-            : RotatingPhrase(rules_.closings, config_.min_rule_support, rng);
+    const std::string closing = RotatingFromVector(compiled_->closings(), rng);
     if (!closing.empty() && !strings::Contains(text, closing)) {
       text += " " + closing;
     }
@@ -425,7 +311,7 @@ std::string CoachLm::ReviseToText(const InstructionPair& pair,
     return lm::SerializePair(echo);
   }
   InstructionPair revised = pair;
-  revised.instruction = ReviseInstruction(pair, rng);
+  revised.instruction = ApplyInstructionRules(*compiled_, pair, rng);
   revised.output = ReviseResponse(pair, revised.instruction, rng);
   return lm::SerializePair(revised);
 }

@@ -40,6 +40,31 @@ struct RevisionPassStats {
   size_t resumed = 0;
 };
 
+/// \name Rule application (Section III-B1)
+///
+/// The learned surface rules, applied through the compiled matcher
+/// (docs/RULE_ENGINE.md). CoachLm calls these on every revised pair; the
+/// equivalence suite checks them text by text against a table-scanning
+/// reference oracle.
+/// @{
+
+/// The coach's subject guess for vague fillers: the first pair of adjacent
+/// content words in the response (a purely textual heuristic — the model
+/// has no access to the topic bank).
+std::string GuessSubject(const InstructionPair& pair);
+
+/// Revises \p pair's instruction: token substitutions, clause removals,
+/// filler disambiguation, capitalization, then context enrichment — the
+/// only family that draws from \p rng.
+std::string ApplyInstructionRules(const lm::CompiledRuleSet& rules,
+                                  const InstructionPair& pair, Rng* rng);
+
+/// Repairs a kept response in place: token substitutions, opener and
+/// stray-token removal, list reflow, doubled words, capitalization.
+void ApplyResponseRules(const lm::CompiledRuleSet& rules, std::string* text);
+
+/// @}
+
 /// \brief The trained coach language model θ_c.
 ///
 /// Holds the backbone (pre-trained knowledge + fluency) and the rule store
@@ -119,32 +144,23 @@ class CoachLm {
   const CoachConfig& config() const { return config_; }
 
   /// The compiled rule artifact (docs/RULE_ENGINE.md), built in the
-  /// constructor when config.compiled_rules is set; nullptr on the scan
-  /// engine. Immutable and owned via shared_ptr, so a hot reload that
-  /// builds a fresh CoachLm swaps rules and matcher tables as one
+  /// constructor; nullptr only for an empty (α = 0) store, which never
+  /// applies rules. Immutable and owned via shared_ptr, so a hot reload
+  /// that builds a fresh CoachLm swaps rules and matcher tables as one
   /// atomically published snapshot.
   std::shared_ptr<const lm::CompiledRuleSet> compiled_rules() const {
     return compiled_;
   }
 
  private:
-  std::string ReviseInstruction(const InstructionPair& pair, Rng* rng) const;
   std::string ReviseResponse(const InstructionPair& pair,
                              const std::string& new_instruction,
                              Rng* rng) const;
-  std::string ReviseInstructionCompiled(const InstructionPair& pair,
-                                        Rng* rng) const;
-  /// The wholesale-rewrite branch of response revision (shared by both
-  /// engines — it consults no surface rules). Returns the replacement
-  /// text, empty when generation produced nothing.
+  /// The wholesale-rewrite branch of response revision (it consults no
+  /// surface rules). Returns the replacement text, empty when generation
+  /// produced nothing.
   std::string ComposeRewrite(const InstructionPair& pair,
                              const std::string& context, Rng* rng) const;
-  /// The surface-repair block of response revision: scan engine (per-rule
-  /// table probing) and compiled engine (shared automaton scan) variants.
-  /// Both must edit \p text to the same bytes — the equivalence suite
-  /// pins this down.
-  void ApplyResponseRepairs(std::string* text) const;
-  void ApplyResponseRepairsCompiled(std::string* text) const;
   std::string ComposeExpansion(const std::string& context,
                                const std::string& existing, size_t max_new,
                                Rng* rng) const;

@@ -17,9 +17,9 @@ CompiledRuleSet::CompiledRuleSet(const RuleStore& rules, size_t min_support)
     return id;
   };
 
-  // token_subs, in std::map (lexicographic) order — the scan path's
+  // token_subs, in std::map (lexicographic) order — the reference scan's
   // iteration order. The best replacement is resolved now; entries whose
-  // best is empty never edit text on the scan path, so they compile away.
+  // best is empty never edit text, so they compile away.
   for (const auto& [from, targets] : rules.token_subs) {
     (void)targets;
     std::string to = rules.BestSubstitution(from, min_support);

@@ -15,23 +15,24 @@ namespace lm {
 
 /// \name Compiled rule engine
 ///
-/// The scan-path inference in coach_lm.cc probes every learned table per
-/// pair: one hash/map walk plus a full substring scan per rule, and a
-/// fresh PhrasesAbove sort per family per call. Compilation hoists all of
-/// that to model-load time: the rule set becomes an immutable
+/// Applying a RuleStore directly would probe every learned table per pair:
+/// one hash/map walk plus a full substring scan per rule, and a fresh
+/// PhrasesAbove sort per family per call. Compilation hoists all of that
+/// to model-load time: the rule set becomes an immutable
 /// CompiledRuleSet — per-family rule vectors frozen in apply order, one
 /// Aho-Corasick automaton over every searched-inside pattern, and a
 /// character-class fingerprint per pattern for O(1) rejection. A
 /// RuleMatcher then answers "does rule R fire on this text, and where?"
 /// from one shared scan instead of per-rule string work, with the same
-/// answers the scan path computes — docs/RULE_ENGINE.md specifies the
+/// answers the direct table scan computes (tests/rule_scan_oracle.cc is
+/// that scan, kept as the reference) — docs/RULE_ENGINE.md specifies the
 /// equivalence contract in full.
 /// @{
 
 /// \brief One precompiled substitution: `from` is an automaton pattern,
 /// `to` is the support-winning replacement (BestSubstitution), resolved
 /// at compile time. Entries whose best replacement is empty are dropped —
-/// the scan path probes them but never edits.
+/// a direct table scan probes them but never edits.
 struct CompiledTokenSub {
   std::string from;
   std::string to;
@@ -48,7 +49,7 @@ struct CompiledPhrase {
 /// \brief An immutable rule store compiled for fast application.
 ///
 /// Everything CoachLm's apply path reads per pair is precomputed here
-/// once: family vectors in the exact order the scan path iterates
+/// once: family vectors in the exact order a direct table scan iterates
 /// (std::map order for token_subs and fillers, PhrasesAbove order — support
 /// desc, phrase asc — for the phrase tables), support gates resolved to
 /// booleans, and aggregate rates copied. The automaton holds every pattern

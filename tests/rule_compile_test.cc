@@ -1,8 +1,9 @@
 // Compiled-rule-engine contract: the CompiledRuleSet freezes exactly the
-// tables the scan path derives per call, the RuleMatcher answers exactly
+// tables a direct scan derives per call, the RuleMatcher answers exactly
 // what strings::Contains / find / StartsWith would, and — the acceptance
-// gate — coach revision through the compiled engine is byte-identical to
-// the scan engine over the golden corpora at every thread count and seed.
+// gate — rule application through the compiled engine is byte-identical,
+// RNG draws included, to the scan oracle (rule_scan_oracle.h) over the
+// golden corpora at every seed.
 
 #include "lm/rule_compile.h"
 
@@ -14,9 +15,10 @@
 #include "coach/coach_lm.h"
 #include "coach/trainer.h"
 #include "common/execution.h"
+#include "common/rng.h"
 #include "determinism_fixture.h"
 #include "expert/pipeline.h"
-#include "lm/pair_text.h"
+#include "rule_scan_oracle.h"
 #include "synth/generator.h"
 
 namespace coachlm {
@@ -100,7 +102,7 @@ TEST(CompiledRuleSetTest, HighSupportThresholdCompilesEmptyFamilies) {
   EXPECT_TRUE(compiled.strip_tokens().empty());
   EXPECT_TRUE(compiled.closings().empty());
   EXPECT_FALSE(compiled.capitalize());
-  // Fillers are not support-gated on the scan path either.
+  // Fillers are not support-gated on a direct scan either.
   EXPECT_EQ(compiled.fillers().size(), 1u);
 }
 
@@ -170,52 +172,76 @@ TEST(RuleMatcherTest, ErasureCannotMintClasses) {
   EXPECT_EQ(matcher.prefilter_rejected(), rejected_before + 1);
 }
 
-/// The acceptance gate: compiled-vs-scan byte identity over corpora.
-class RuleEngineEquivalenceTest : public ::testing::TestWithParam<size_t> {
- protected:
-  size_t threads() const { return GetParam(); }
-};
-
-INSTANTIATE_TEST_SUITE_P(ThreadCounts, RuleEngineEquivalenceTest,
-                         ::testing::Values(1, 2, 8),
-                         [](const ::testing::TestParamInfo<size_t>& param) {
-                           return "threads" + std::to_string(param.param);
-                         });
-
-TEST_P(RuleEngineEquivalenceTest, FixtureCorpusByteIdenticalAcrossSeeds) {
-  for (const uint64_t seed : {23ULL, 7ULL, 20260809ULL}) {
-    coach::CoachConfig scan_config;
-    scan_config.alpha = 1.0;
-    scan_config.seed = seed;
-    scan_config.compiled_rules = false;
-    coach::CoachConfig compiled_config = scan_config;
-    compiled_config.compiled_rules = true;
-
-    const coach::CoachLm scan_model =
-        coach::CoachTrainer(scan_config).Train(testfix::FixtureRevisions());
-    const coach::CoachLm compiled_model =
-        coach::CoachTrainer(compiled_config)
-            .Train(testfix::FixtureRevisions());
-    ASSERT_EQ(scan_model.compiled_rules(), nullptr);
-    ASSERT_NE(compiled_model.compiled_rules(), nullptr);
-
-    const ExecutionContext exec(threads());
-    const InstructionDataset scan_out =
-        scan_model.ReviseDataset(testfix::FixtureCorpus(), {}, nullptr, exec);
-    const InstructionDataset compiled_out = compiled_model.ReviseDataset(
-        testfix::FixtureCorpus(), {}, nullptr, exec);
-    ASSERT_EQ(scan_out.size(), compiled_out.size());
-    for (size_t i = 0; i < scan_out.size(); ++i) {
-      EXPECT_EQ(lm::SerializePair(compiled_out[i]),
-                lm::SerializePair(scan_out[i]))
-          << "seed " << seed << " pair " << i;
-    }
+/// How many raw draws took \p start to \p end: the first k for which \p
+/// start advanced k times continues exactly like \p end. -1 when no k in
+/// range matches.
+int DrawsBetween(Rng start, const Rng& end) {
+  for (int k = 0; k <= 64; ++k) {
+    Rng ahead = start;
+    Rng probe = end;
+    bool same = true;
+    for (int i = 0; i < 4 && same; ++i) same = ahead.Next() == probe.Next();
+    if (same) return k;
+    (void)start.Next();  // A raw 64-bit draw: nothing to handle.
   }
+  return -1;
 }
 
-TEST_P(RuleEngineEquivalenceTest, SyntheticCorpusByteIdentical) {
+/// Runs every pair's instruction through the instruction rules and every
+/// output through the response repairs — including outputs the rewrite
+/// branch would replace in a real revision — on both the compiled engine
+/// and the scan oracle, at each seed's per-pair RNG stream. The texts and
+/// the number of RNG draws must match. The comparison is only as strong as
+/// its inputs, so every searched family that holds a rule able to fire
+/// (non-empty after support gating) must edit at least one compared text.
+void ExpectOracleAgreement(const coach::CoachLm& model,
+                           const InstructionDataset& corpus) {
+  ASSERT_NE(model.compiled_rules(), nullptr);
+  const CompiledRuleSet& compiled = *model.compiled_rules();
+  const RuleStore& store = model.rules();
+  const size_t min_support = model.config().min_rule_support;
+  testfix::ScanFires fires;
+  for (const uint64_t seed : {23ULL, 7ULL, 20260809ULL}) {
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      const InstructionPair& pair = corpus[i];
+      const Rng start = DeriveRng(seed, pair.id);
+      Rng scan_rng = start;
+      Rng compiled_rng = start;
+      EXPECT_EQ(coach::ApplyInstructionRules(compiled, pair, &compiled_rng),
+                testfix::ScanInstructionRules(store, min_support, pair,
+                                              &scan_rng, &fires))
+          << "seed " << seed << " pair " << i;
+      const int scan_draws = DrawsBetween(start, scan_rng);
+      EXPECT_GE(scan_draws, 0) << "seed " << seed << " pair " << i;
+      EXPECT_EQ(DrawsBetween(start, compiled_rng), scan_draws)
+          << "seed " << seed << " pair " << i;
+
+      std::string scan_text = pair.output;
+      std::string compiled_text = pair.output;
+      testfix::ScanResponseRules(store, min_support, &scan_text, &fires);
+      coach::ApplyResponseRules(compiled, &compiled_text);
+      EXPECT_EQ(compiled_text, scan_text) << "seed " << seed << " pair " << i;
+    }
+  }
+  EXPECT_TRUE(compiled.token_subs().empty() || fires.token_subs > 0);
+  EXPECT_TRUE(compiled.strip_phrases().empty() || fires.strip_phrases > 0);
+  EXPECT_TRUE(compiled.fillers().empty() || fires.fillers > 0);
+  EXPECT_TRUE(compiled.openers().empty() || fires.openers > 0);
+  EXPECT_TRUE(compiled.strip_tokens().empty() || fires.strip_tokens > 0);
+}
+
+/// The acceptance gate: the compiled engine against the scan oracle.
+TEST(RuleEngineEquivalenceTest, FixtureCorpusMatchesScanOracle) {
+  coach::CoachConfig config;
+  config.alpha = 1.0;
+  ExpectOracleAgreement(
+      coach::CoachTrainer(config).Train(testfix::FixtureRevisions()),
+      testfix::FixtureCorpus());
+}
+
+TEST(RuleEngineEquivalenceTest, SyntheticCorpusMatchesScanOracle) {
   // A trained-for-real rule store over a generated corpus: the same
-  // pipeline the end-to-end golden uses, compared engine vs engine.
+  // pipeline the end-to-end golden uses.
   synth::CorpusConfig corpus_config;
   corpus_config.size = 600;
   corpus_config.seed = 42;
@@ -226,25 +252,40 @@ TEST_P(RuleEngineEquivalenceTest, SyntheticCorpusByteIdentical) {
   const auto study = expert::RunRevisionStudy(corpus.dataset,
                                               generator.engine(),
                                               study_config);
+  coach::CoachConfig config;
+  config.alpha = 0.3;
+  ExpectOracleAgreement(coach::CoachTrainer(config).Train(study.revisions),
+                        corpus.dataset);
+}
 
-  coach::CoachConfig scan_config;
-  scan_config.alpha = 0.3;
-  scan_config.compiled_rules = false;
-  coach::CoachConfig compiled_config = scan_config;
-  compiled_config.compiled_rules = true;
-
-  const coach::CoachLm scan_model =
-      coach::CoachTrainer(scan_config).Train(study.revisions);
-  const coach::CoachLm compiled_model =
-      coach::CoachTrainer(compiled_config).Train(study.revisions);
-
-  const ExecutionContext exec(threads());
-  const InstructionDataset scan_out =
-      scan_model.ReviseDataset(corpus.dataset, {}, nullptr, exec);
-  const InstructionDataset compiled_out =
-      compiled_model.ReviseDataset(corpus.dataset, {}, nullptr, exec);
-  EXPECT_EQ(testfix::HashDataset(compiled_out),
-            testfix::HashDataset(scan_out));
+TEST(RuleEngineEquivalenceTest, HandBuiltStoreMatchesScanOracle) {
+  // The trained stores above learn no fillers, openers or strip tokens;
+  // this store holds every family, and the inputs trip each of them,
+  // including edits that shift or create later matches.
+  RuleStore store = PopulatedStore();
+  store.token_subs["thru"]["through"] = 3;  // Changes the text's length.
+  store.opener_removals["Sure,"] = 3;  // Only the first opener is removed.
+  InstructionDataset corpus = testfix::FixtureCorpus();
+  corpus.Add(testfix::MakePair(
+      7, "explain the thing in zero words. teh end.", "",
+      "As an AI language model, OUTPUT: recieve teh answer. the the sun "
+      "- rises - sets"));
+  corpus.Add(testfix::MakePair(
+      8, "Describe the thing without using words", "Gravity pulls masses.",
+      "OUTPUT:OUTPUT: teh"));
+  corpus.Add(testfix::MakePair(9, "Summarize teh thing.", "", ""));
+  corpus.Add(testfix::MakePair(
+      10, "Résumé: teh thing in zero words in zero words", "",
+      "Certainly! Here is teh answer. 1. first 2. second"));
+  corpus.Add(testfix::MakePair(
+      11, "go thru the thing in zero words", "Chess is old.",
+      "As an AI language model, Sure, thru OUTPUT: it"));
+  // Twelve words or more: no context coin is drawn.
+  corpus.Add(testfix::MakePair(
+      12, "Write a long and careful essay about the thing and its many "
+          "uses in teh modern world",
+      "", "Sure, the essay follows."));
+  ExpectOracleAgreement(coach::CoachLm(coach::CoachConfig(), store), corpus);
 }
 
 }  // namespace
