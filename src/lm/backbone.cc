@@ -95,21 +95,6 @@ BackboneModel::BackboneModel(BackboneProfile profile)
   }
 }
 
-double BackboneModel::DocScore(size_t doc_index,
-                               const std::string& text) const {
-  size_t count = 0;
-  size_t longest = 0;
-  return DocScoreDetailed(doc_index, text, &count, &longest);
-}
-
-double BackboneModel::DocScoreDetailed(size_t doc_index,
-                                       const std::string& text,
-                                       size_t* match_count,
-                                       size_t* longest_match) const {
-  const auto words = similarity::ContentWords(text);
-  return DocScoreDetailed(doc_index, words, match_count, longest_match);
-}
-
 double BackboneModel::DocScoreDetailed(
     size_t doc_index, const std::unordered_set<std::string>& words,
     size_t* match_count, size_t* longest_match) const {

@@ -60,22 +60,15 @@ class BackboneModel {
  public:
   explicit BackboneModel(BackboneProfile profile);
 
-  /// Length-weighted fraction of \p text's content words covered by doc
-  /// \p doc_index's association key. In [0, 1].
-  double DocScore(size_t doc_index, const std::string& text) const;
-
-  /// DocScore plus match diagnostics: how many content words matched and
-  /// the longest match (discriminative single words like a topic name are
-  /// long; incidental matches like "show" are short).
-  double DocScoreDetailed(size_t doc_index, const std::string& text,
-                          size_t* match_count, size_t* longest_match) const;
-
-  /// DocScoreDetailed against a pre-tokenized query. The retrieval loops
-  /// score one query against *every* document, so they tokenize once with
-  /// similarity::ContentWords and reuse the set across docs — scoring the
-  /// same set object visits words in the same order as the string overload,
-  /// keeping the floating-point sums (and therefore every downstream byte)
-  /// identical.
+  /// Length-weighted fraction of the query's content \p words covered by
+  /// doc \p doc_index's association key, in [0, 1], plus match
+  /// diagnostics: how many content words matched and the longest match
+  /// (discriminative single words like a topic name are long; incidental
+  /// matches like "show" are short). The retrieval loops score one query
+  /// against *every* document, so they tokenize once with
+  /// similarity::ContentWords and reuse the set across docs — the same set
+  /// object visits words in the same order for every doc, keeping the
+  /// floating-point sums (and therefore every downstream byte) identical.
   double DocScoreDetailed(size_t doc_index,
                           const std::unordered_set<std::string>& words,
                           size_t* match_count, size_t* longest_match) const;

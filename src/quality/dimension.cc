@@ -28,10 +28,5 @@ DimensionLevel LevelOf(Dimension dimension) {
   }
 }
 
-bool IsInstructionDimension(Dimension dimension) {
-  return static_cast<uint8_t>(dimension) <=
-         static_cast<uint8_t>(Dimension::kInstructionReadability);
-}
-
 }  // namespace quality
 }  // namespace coachlm

@@ -42,9 +42,6 @@ const std::string& DimensionName(Dimension dimension);
 /// The importance level of a dimension.
 DimensionLevel LevelOf(Dimension dimension);
 
-/// True for the three INSTRUCTION-side dimensions.
-bool IsInstructionDimension(Dimension dimension);
-
 }  // namespace quality
 }  // namespace coachlm
 

@@ -114,11 +114,6 @@ std::string HttpResponse::Serialize() const {
 
 HttpRequestParser::HttpRequestParser(HttpLimits limits) : limits_(limits) {}
 
-size_t HttpRequestParser::remaining_body_bytes() const {
-  if (!head_complete_ || complete_) return 0;
-  return body_expected_ - request_.body.size();
-}
-
 Status HttpRequestParser::Feed(const char* data, size_t len) {
   if (!error_.ok()) return error_;
   if (complete_) {

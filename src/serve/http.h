@@ -92,9 +92,6 @@ class HttpRequestParser {
   /// The parsed request; valid once complete().
   const HttpRequest& request() const { return request_; }
 
-  /// Bytes of body still expected (0 when complete or head not done).
-  size_t remaining_body_bytes() const;
-
  private:
   [[nodiscard]] Status ParseHead();
   [[nodiscard]] Status ParseRequestLine(const std::string& line);

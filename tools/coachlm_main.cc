@@ -1,31 +1,8 @@
 // The coachlm command-line tool: the Fig. 2 pipeline as composable
 // filesystem steps, so the library can be driven without writing C++.
-//
-//   coachlm generate --size 52000 --seed 42 --out corpus.json
-//   coachlm study    --in corpus.json --sample 6000 --out revisions.jsonl
-//                    [--merged alpaca_human.json]
-//   coachlm train    --revisions revisions.jsonl --alpha 0.3
-//                    --backbone chatglm2 --checkpoint coach.json
-//   coachlm revise   --in corpus.json --checkpoint coach.json
-//                    --out revised.json [--verify]
-//   coachlm rate     --in revised.json [--detailed]
-//   coachlm inspect  --checkpoint coach.json
-//   coachlm diff     --before corpus.json --after revised.json
-//   coachlm evaluate --original corpus.json --revised revised.json
-//                    [--human alpaca_human.json] [--testset coachlm150]
-//   coachlm pipeline --size 5000 --seed 42 --out revised.json
-//                    [--checkpoint-dir ckpt --resume]
-//   coachlm convert  --in corpus.json --out corpus.manifest.json
-//                    [--shards 4] [--format binary]
-//
 // Every step is deterministic given its seeds; datasets are plain
 // Alpaca-format JSON and revisions are JSONL, so steps interoperate with
-// external tooling.
-//
-// Fault tolerance (generate / revise / pipeline): --fault-plan injects
-// deterministic transient/permanent faults, --retry-max bounds retries,
-// --quarantine saves permanently-failed records, and --checkpoint-dir +
-// --resume make a killed run continue to byte-identical output.
+// external tooling. Its flags are declared in coachlm_flags.cc.
 
 #include <algorithm>
 #include <cstdio>
@@ -41,7 +18,6 @@
 #include "common/env.h"
 #include "common/execution.h"
 #include "common/fault.h"
-#include "common/flags.h"
 #include "common/metrics.h"
 #include "common/report.h"
 #include "common/retry.h"
@@ -65,135 +41,15 @@
 #include "tuning/evaluation.h"
 #include "tuning/model_zoo.h"
 
+#include "coachlm_flags.h"
+
 namespace coachlm {
 namespace {
 
-constexpr char kUsage[] =
-    "usage: coachlm <command> [flags]\n"
-    "\n"
-    "commands:\n"
-    "  generate  --size N --seed S --out corpus.json [--threads T]\n"
-    "            synthesize an ALPACA52K-like instruction dataset\n"
-    "  study     --in corpus.json --sample N --seed S --out revisions.jsonl\n"
-    "            [--merged merged.json] [--threads T]\n"
-    "            run the expert revision study\n"
-    "  train     --revisions revisions.jsonl --alpha A\n"
-    "            --backbone llama|chatglm|chatglm2 --checkpoint coach.json\n"
-    "            coach instruction tuning (writes a rule checkpoint)\n"
-    "  revise    --in corpus.json --checkpoint coach.json --out revised.json\n"
-    "            [--alpha A] [--backbone B] [--verify] [--threads T]\n"
-    "            revise a dataset with a trained CoachLM\n"
-    "  rate      --in dataset.json [--detailed] [--threads T]\n"
-    "            ChatGPT-style 0-5 quality report (+ per-dimension table)\n"
-    "  inspect   --checkpoint coach.json\n"
-    "            print the learned rule store (what coach tuning learned)\n"
-    "  diff      --before a.json --after b.json [--threads T]\n"
-    "            revision magnitude + per-dimension flaw-rate movement\n"
-    "  evaluate  --original corpus.json --revised revised.json\n"
-    "            [--human merged.json] [--testset coachlm150|pandalm170|\n"
-    "            vicuna80|selfinstruct252] [--threads T]\n"
-    "            tune + judge the model zoo\n"
-    "  pipeline  --size N --seed S --sample N --alpha A --backbone B\n"
-    "            --out revised.json [--threads T]\n"
-    "            generate -> study -> train -> revise in one run\n"
-    "  convert   --in corpus.json --out corpus.manifest.json [--shards N]\n"
-    "            [--format json|jsonl|binary]\n"
-    "            re-encode a corpus between backends (JSON / JSONL /\n"
-    "            binary columnar shards; see docs/FORMAT.md)\n"
-    "  metrics   [--validate report.json]\n"
-    "            print the metric catalog (name, type, unit, stage, help);\n"
-    "            --validate schema-checks a run report or bench trajectory\n"
-    "  serve     --checkpoint coach.json [--port P] [--serve-workers W]\n"
-    "            [--serve-processes N] [--queue-depth Q]\n"
-    "            [--request-deadline-ms D]\n"
-    "            long-lived revision service on 127.0.0.1 (docs/SERVING.md):\n"
-    "            POST /v1/revise revises a JSONL body with the loaded\n"
-    "            coach; SIGHUP or POST /admin/reload hot-swaps the\n"
-    "            checkpoint; SIGTERM drains gracefully; a full admission\n"
-    "            queue sheds with 429 + Retry-After\n"
-    "\n"
-    "serving (serve only; batch-only flags like --resume are rejected):\n"
-    "  --port P                listen port on 127.0.0.1 (1..65535; 8080)\n"
-    "  --serve-workers W       fixed worker pool size (1..1024; 4)\n"
-    "  --serve-processes N     crash-only mode: fork N supervised server\n"
-    "                          processes sharing the port via SO_REUSEPORT;\n"
-    "                          crashed workers respawn with deterministic\n"
-    "                          backoff, a crash loop trips a circuit\n"
-    "                          breaker (exit 3) (1..256; 1 = in-process)\n"
-    "  --queue-depth Q         admission queue bound before shedding\n"
-    "                          (1..1000000; 64)\n"
-    "  --request-deadline-ms D per-request budget; a blown deadline is a\n"
-    "                          typed 504 (>= 1; 2000)\n"
-    "  --read-timeout-ms N     socket read timeout: a stalled or dripping\n"
-    "                          peer gets a typed 408 instead of pinning a\n"
-    "                          worker (>= 1; default: the request deadline)\n"
-    "  --write-timeout-ms N    socket write timeout: a peer that stops\n"
-    "                          reading its response is dropped (>= 1;\n"
-    "                          default: the request deadline)\n"
-    "\n"
-    "corpus I/O (every dataset-reading/-writing command; docs/FORMAT.md):\n"
-    "  inputs are sniffed: Alpaca JSON arrays, JSONL, binary columnar\n"
-    "  files, and shard manifests all load through the same record-stream\n"
-    "  interface, byte-identically.\n"
-    "  --format F              output corpus format: auto|json|jsonl|binary\n"
-    "                          (auto resolves from the output path's\n"
-    "                          extension: .jsonl, .clmb/.bin, else JSON)\n"
-    "  --shards N              split the output corpus into N shard files\n"
-    "                          plus a self-describing .manifest.json index\n"
-    "                          (N >= 1; 1 keeps a single file unless the\n"
-    "                          path names a .manifest.json)\n"
-    "  --corpus-manifest FILE  read the input corpus from a shard manifest\n"
-    "                          (overrides --in; must name a .manifest.json;\n"
-    "                          revise checkpoints/resumes shard by shard)\n"
-    "\n"
-    "--threads T sizes the command\'s execution context (0 = default:\n"
-    "COACHLM_THREADS or hardware concurrency); results are byte-identical\n"
-    "at any thread count.\n"
-    "\n"
-    "fault tolerance (generate, revise, pipeline):\n"
-    "  --fault-plan SPEC       inject deterministic faults, e.g. \"0.05\" or\n"
-    "                          \"rate=0.05,permanent=0.001,seed=7,\n"
-    "                          sites=revise+io\" (default: COACHLM_FAULT_PLAN)\n"
-    "  --retry-max N           attempts per record before quarantine (4)\n"
-    "  --quarantine FILE       save permanently-failed records as JSONL\n"
-    "  --checkpoint-dir DIR    journal progress for crash-safe runs\n"
-    "  --checkpoint-interval N items journaled per commit (2048)\n"
-    "  --resume                continue from the journal in --checkpoint-dir\n"
-    "                          (omitting it restarts the stage fresh)\n"
-    "  --crash-after-commits N testing: kill the process after the Nth\n"
-    "                          checkpoint commit\n"
-    "\n"
-    "resource governance (generate, revise, pipeline):\n"
-    "  --deadline-ms N         wall-clock budget: the run cancels\n"
-    "                          cooperatively at the deadline, quarantines\n"
-    "                          unprocessed records, and (with\n"
-    "                          --checkpoint-dir) leaves a valid journal for\n"
-    "                          --resume\n"
-    "  --stall-timeout-ms N    cancel the run when no record completes for\n"
-    "                          N ms (frozen-stage watchdog)\n"
-    "  --max-record-bytes N    reject any single record/line larger than N\n"
-    "                          bytes (default 4194304)\n"
-    "  --max-json-depth N      reject JSON nested deeper than N containers\n"
-    "                          (default 32)\n"
-    "full parse-limit spec: COACHLM_PARSE_LIMITS (see ParseLimits::FromSpec)\n"
-    "\n"
-    "observability (every command; see docs/OBSERVABILITY.md):\n"
-    "  --metrics-out FILE      write a machine-readable run report (JSON):\n"
-    "                          per-stage spans and wall time, metric\n"
-    "                          counters/gauges/histograms, thread\n"
-    "                          utilization, peak RSS\n"
-    "                          (default: COACHLM_METRICS_OUT)\n"
-    "  --metrics-deterministic pin the report's volatile fields — span\n"
-    "                          timings from a stepping clock, threads/RSS/\n"
-    "                          utilization zeroed — so a seeded run's\n"
-    "                          report is byte-identical at any thread\n"
-    "                          count (default: COACHLM_METRICS_DETERMINISTIC=1)\n";
-
-/// The command's execution context, sized by --threads (0 = default:
-/// COACHLM_THREADS, then hardware concurrency). Commands run once per
-/// process, so a function-local static covers the one non-default width.
+/// The command's execution context, sized by --threads. Commands run once
+/// per process, so a function-local static covers the one non-default width.
 const ExecutionContext& FlagExec(const Flags& flags) {
-  const size_t threads = static_cast<size_t>(flags.GetInt("threads", 0));
+  const size_t threads = static_cast<size_t>(flags.Int("threads"));
   if (threads == 0) return ExecutionContext::Default();
   static const ExecutionContext exec(threads);
   return exec;
@@ -217,48 +73,44 @@ Status SaveDataset(const InstructionDataset& dataset, const std::string& path,
 }
 /// @}
 
-/// Output-side corpus choices from --format / --shards (both validated in
-/// ValidateFlags before any command runs).
+/// Output-side corpus choices from --format / --shards.
 CorpusWriteOptions FlagWriteOptions(const Flags& flags) {
   CorpusWriteOptions options;
-  options.format = ParseCorpusFormat(flags.GetString("format", "auto"))
-                       .ValueOr(CorpusFormat::kAuto);
-  options.shards = static_cast<size_t>(flags.GetInt("shards", 1));
+  // The --format row lists its choices in CorpusFormat order.
+  options.format = static_cast<CorpusFormat>(flags.Choice("format"));
+  options.shards = static_cast<size_t>(flags.Int("shards"));
   return options;
 }
 
-/// The input corpus path: --corpus-manifest (a shard manifest) overrides
-/// the command's own input flag.
-std::string InputPath(const Flags& flags, const char* flag,
-                      const char* fallback) {
-  if (flags.Has("corpus-manifest")) return flags.GetString("corpus-manifest");
-  return flags.GetString(flag, fallback);
+/// The input corpus path: --corpus-manifest if given, else --in.
+const std::string& InputPath(const Flags& flags) {
+  return flags.String(flags.Has("corpus-manifest") ? "corpus-manifest" : "in");
 }
 
-lm::BackboneProfile BackboneByName(const std::string& name) {
-  if (name == "llama") return lm::Llama7B();
-  if (name == "chatglm") return lm::ChatGlm6B();
-  return lm::ChatGlm26B();
+/// The coach configuration from --alpha, --backbone and --verify.
+coach::CoachConfig FlagCoachConfig(const Flags& flags) {
+  // In the order of the --backbone row's choices.
+  static constexpr lm::BackboneProfile (*kBackbones[])() = {
+      lm::Llama7B, lm::ChatGlm6B, lm::ChatGlm26B};
+  coach::CoachConfig config;
+  config.alpha = flags.Double("alpha");
+  config.backbone = kBackbones[flags.Choice("backbone")]();
+  config.verify_expansions = flags.Has("verify");
+  return config;
 }
 
-/// Builds the command's fault-tolerance runtime from --fault-plan and
-/// --retry-max. Returns nullptr when neither flag is present — callers then
-/// use PipelineRuntime::Default(), which honors COACHLM_FAULT_PLAN /
-/// COACHLM_RETRY_MAX.
+/// Builds the fault-tolerance runtime from --fault-plan and --retry-max;
+/// nullptr when neither is given (callers then use PipelineRuntime::
+/// Default(), which honors COACHLM_FAULT_PLAN / COACHLM_RETRY_MAX). Main
+/// calls this once, before dispatch, so a bad spec is a usage error.
 Result<std::unique_ptr<PipelineRuntime>> MakeRuntime(const Flags& flags) {
   if (!flags.Has("fault-plan") && !flags.Has("retry-max")) {
     return std::unique_ptr<PipelineRuntime>();
   }
   COACHLM_ASSIGN_OR_RETURN(FaultPlan plan,
-                           FaultPlan::Parse(flags.GetString("fault-plan")));
+                           FaultPlan::Parse(flags.String("fault-plan")));
   RetryPolicy policy;
-  COACHLM_ASSIGN_OR_RETURN(
-      const int64_t retry_max,
-      flags.GetIntStrict("retry-max", policy.max_attempts));
-  policy.max_attempts = static_cast<int>(retry_max);
-  if (policy.max_attempts < 1) {
-    return Status::InvalidArgument("--retry-max must be >= 1");
-  }
+  policy.max_attempts = static_cast<int>(flags.Int("retry-max"));
   return std::make_unique<PipelineRuntime>(FaultInjector(plan), policy);
 }
 
@@ -277,8 +129,8 @@ struct Governance {
 /// ungoverned path.
 Governance MakeGovernance(const Flags& flags, PipelineRuntime* runtime) {
   Governance governance;
-  const int64_t deadline_ms = flags.GetInt("deadline-ms", 0);
-  const int64_t stall_ms = flags.GetInt("stall-timeout-ms", 0);
+  const int64_t deadline_ms = flags.Int("deadline-ms");
+  const int64_t stall_ms = flags.Int("stall-timeout-ms");
   if (deadline_ms <= 0 && stall_ms <= 0) return governance;
   Clock* clock = Clock::System();
   governance.token =
@@ -320,17 +172,15 @@ std::unique_ptr<StageCheckpointer> MakeCheckpointer(
   // Heap-allocated: the checkpointer owns its async-commit thread and is
   // therefore not movable.
   auto checkpoint = std::make_unique<StageCheckpointer>(
-      flags.GetString("checkpoint-dir"), stage, ConfigFingerprint(fingerprint),
-      static_cast<size_t>(flags.GetInt("checkpoint-interval", 2048)));
+      flags.String("checkpoint-dir"), stage, ConfigFingerprint(fingerprint),
+      static_cast<size_t>(flags.Int("checkpoint-interval")));
   if (checkpoint->enabled() && !flags.Has("resume")) {
     // Discarding a stale journal is best-effort: if it survives, the
     // fingerprint check rejects it at the next Resume anyway.
     (void)checkpoint->Finish();
   }
-  if (checkpoint->enabled() && flags.Has("crash-after-commits")) {
-    checkpoint->set_crash_after_commits(
-        static_cast<int>(flags.GetInt("crash-after-commits", 0)));
-  }
+  checkpoint->set_crash_after_commits(
+      static_cast<int>(flags.Int("crash-after-commits")));
   return checkpoint;
 }
 
@@ -344,8 +194,7 @@ Status ReportRuntime(const PipelineRuntime& runtime, const Flags& flags) {
                 runtime.quarantined_records());
   }
   if (flags.Has("quarantine")) {
-    const std::string path =
-        flags.GetString("quarantine", "quarantine.jsonl");
+    const std::string& path = flags.String("quarantine");
     COACHLM_RETURN_NOT_OK(runtime.quarantine().Save(path));
     std::printf("wrote %zu quarantine records to %s\n",
                 runtime.quarantine().size(), path.c_str());
@@ -353,15 +202,11 @@ Status ReportRuntime(const PipelineRuntime& runtime, const Flags& flags) {
   return Status::OK();
 }
 
-Status RunGenerate(const Flags& flags) {
+Status RunGenerate(const Flags& flags, PipelineRuntime* runtime) {
   synth::CorpusConfig config;
-  config.size = static_cast<size_t>(flags.GetInt("size", 52000));
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  config.size = static_cast<size_t>(flags.Int("size"));
+  config.seed = static_cast<uint64_t>(flags.Int("seed"));
   synth::SynthCorpusGenerator generator(config);
-  COACHLM_ASSIGN_OR_RETURN(std::unique_ptr<PipelineRuntime> owned,
-                           MakeRuntime(flags));
-  PipelineRuntime* runtime =
-      owned != nullptr ? owned.get() : PipelineRuntime::Default();
   const Governance governance = MakeGovernance(flags, runtime);
   std::unique_ptr<StageCheckpointer> checkpoint = MakeCheckpointer(
       flags, "generate",
@@ -374,7 +219,7 @@ Status RunGenerate(const Flags& flags) {
   if (checkpoint->enabled() && !governance.cancelled()) {
     COACHLM_RETURN_NOT_OK(checkpoint->Finish());
   }
-  const std::string out = flags.GetString("out", "corpus.json");
+  const std::string out = flags.String("out");
   COACHLM_RETURN_NOT_OK(SaveDataset(corpus.dataset, out, FlagWriteOptions(flags)));
   std::printf("wrote %zu pairs to %s\n", corpus.dataset.size(), out.c_str());
   ReportCancellation(governance, checkpoint->enabled());
@@ -382,16 +227,15 @@ Status RunGenerate(const Flags& flags) {
 }
 
 Status RunStudy(const Flags& flags) {
-  COACHLM_ASSIGN_OR_RETURN(
-      InstructionDataset corpus,
-      LoadDataset(InputPath(flags, "in", "corpus.json")));
+  COACHLM_ASSIGN_OR_RETURN(InstructionDataset corpus,
+                           LoadDataset(InputPath(flags)));
   synth::ContentEngine engine;
   expert::RevisionStudyConfig config;
-  config.sample_size = static_cast<size_t>(flags.GetInt("sample", 6000));
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 17));
+  config.sample_size = static_cast<size_t>(flags.Int("sample"));
+  config.seed = static_cast<uint64_t>(flags.Int("seed"));
   const auto study =
       expert::RunRevisionStudy(corpus, engine, config, {}, FlagExec(flags));
-  const std::string out = flags.GetString("out", "revisions.jsonl");
+  const std::string out = flags.String("out");
   {
     const StageSpan save_span("save");
     COACHLM_RETURN_NOT_OK(SaveRevisions(out, study.revisions));
@@ -404,7 +248,7 @@ Status RunStudy(const Flags& flags) {
   std::printf("wrote %zu revision records to %s\n", study.revisions.size(),
               out.c_str());
   if (flags.Has("merged")) {
-    const std::string merged = flags.GetString("merged");
+    const std::string merged = flags.String("merged");
     COACHLM_RETURN_NOT_OK(SaveDataset(study.merged_dataset, merged));
     std::printf("wrote Alpaca-human training set to %s\n", merged.c_str());
   }
@@ -414,17 +258,15 @@ Status RunStudy(const Flags& flags) {
 Status RunTrain(const Flags& flags) {
   Result<RevisionDataset> loaded = [&] {
     const StageSpan load_span("load");
-    return LoadRevisions(flags.GetString("revisions", "revisions.jsonl"));
+    return LoadRevisions(flags.String("revisions"));
   }();
   COACHLM_ASSIGN_OR_RETURN(RevisionDataset revisions, std::move(loaded));
-  coach::CoachConfig config;
-  config.alpha = flags.GetDouble("alpha", 0.3);
-  config.backbone = BackboneByName(flags.GetString("backbone", "chatglm2"));
+  const coach::CoachConfig config = FlagCoachConfig(flags);
   const coach::CoachLm model = [&] {
     const StageSpan train_span("train");
     return coach::CoachTrainer(config).Train(revisions);
   }();
-  const std::string checkpoint = flags.GetString("checkpoint", "coach.json");
+  const std::string checkpoint = flags.String("checkpoint");
   {
     const StageSpan save_span("save");
     COACHLM_RETURN_NOT_OK(model.SaveCheckpoint(checkpoint));
@@ -436,20 +278,12 @@ Status RunTrain(const Flags& flags) {
   return Status::OK();
 }
 
-Status RunRevise(const Flags& flags) {
-  const std::string in = InputPath(flags, "in", "corpus.json");
-  coach::CoachConfig config;
-  config.alpha = flags.GetDouble("alpha", 0.3);
-  config.backbone = BackboneByName(flags.GetString("backbone", "chatglm2"));
-  config.verify_expansions = flags.Has("verify");
+Status RunRevise(const Flags& flags, PipelineRuntime* runtime) {
+  const std::string in = InputPath(flags);
+  const coach::CoachConfig config = FlagCoachConfig(flags);
   COACHLM_ASSIGN_OR_RETURN(
       coach::CoachLm model,
-      coach::CoachLm::LoadCheckpoint(
-          flags.GetString("checkpoint", "coach.json"), config));
-  COACHLM_ASSIGN_OR_RETURN(std::unique_ptr<PipelineRuntime> owned,
-                           MakeRuntime(flags));
-  PipelineRuntime* runtime =
-      owned != nullptr ? owned.get() : PipelineRuntime::Default();
+      coach::CoachLm::LoadCheckpoint(flags.String("checkpoint"), config));
   const Governance governance = MakeGovernance(flags, runtime);
   const std::string fingerprint =
       "revise in=" + in + " alpha=" + std::to_string(config.alpha) +
@@ -505,7 +339,7 @@ Status RunRevise(const Flags& flags) {
       COACHLM_RETURN_NOT_OK(checkpoint->Finish());
     }
   }
-  const std::string out = flags.GetString("out", "revised.json");
+  const std::string out = flags.String("out");
   COACHLM_RETURN_NOT_OK(SaveDataset(revised, out, FlagWriteOptions(flags)));
   std::printf("revised %zu pairs (%zu changed, %zu invalid outputs "
               "replaced, %zu quarantined, %zu resumed); wrote %s\n",
@@ -516,9 +350,8 @@ Status RunRevise(const Flags& flags) {
 }
 
 Status RunRate(const Flags& flags) {
-  COACHLM_ASSIGN_OR_RETURN(
-      InstructionDataset dataset,
-      LoadDataset(InputPath(flags, "in", "corpus.json")));
+  COACHLM_ASSIGN_OR_RETURN(InstructionDataset dataset,
+                           LoadDataset(InputPath(flags)));
   const auto rating =
       quality::AccuracyRater().RateDataset(dataset, FlagExec(flags));
   std::printf("%zu pairs: mean rating %.2f / 5, %.1f%% above 4.5\n",
@@ -536,11 +369,9 @@ Status RunInspect(const Flags& flags) {
   coach::CoachConfig config;
   COACHLM_ASSIGN_OR_RETURN(
       coach::CoachLm model,
-      coach::CoachLm::LoadCheckpoint(
-          flags.GetString("checkpoint", "coach.json"), config));
+      coach::CoachLm::LoadCheckpoint(flags.String("checkpoint"), config));
   const lm::RuleStore& rules = model.rules();
-  std::printf("checkpoint: %s\n",
-              flags.GetString("checkpoint", "coach.json").c_str());
+  std::printf("checkpoint: %s\n", flags.String("checkpoint").c_str());
   std::printf("trained on %zu coach-tuning samples\n\n", rules.train_pairs);
 
   std::printf("alignment statistics (what the coach will do):\n");
@@ -586,12 +417,10 @@ Status RunInspect(const Flags& flags) {
 }
 
 Status RunDiff(const Flags& flags) {
-  COACHLM_ASSIGN_OR_RETURN(
-      InstructionDataset before,
-      LoadDataset(flags.GetString("before")));
-  COACHLM_ASSIGN_OR_RETURN(
-      InstructionDataset after,
-      LoadDataset(flags.GetString("after")));
+  COACHLM_ASSIGN_OR_RETURN(InstructionDataset before,
+                           LoadDataset(flags.String("before")));
+  COACHLM_ASSIGN_OR_RETURN(InstructionDataset after,
+                           LoadDataset(flags.String("after")));
   if (before.size() != after.size()) {
     return Status::InvalidArgument(
         "datasets differ in size (" + std::to_string(before.size()) +
@@ -621,23 +450,19 @@ Status RunDiff(const Flags& flags) {
 }
 
 Status RunEvaluate(const Flags& flags) {
-  COACHLM_ASSIGN_OR_RETURN(
-      InstructionDataset original,
-      LoadDataset(flags.GetString("original", "corpus.json")));
-  COACHLM_ASSIGN_OR_RETURN(
-      InstructionDataset revised,
-      LoadDataset(flags.GetString("revised", "revised.json")));
+  COACHLM_ASSIGN_OR_RETURN(InstructionDataset original,
+                           LoadDataset(flags.String("original")));
+  COACHLM_ASSIGN_OR_RETURN(InstructionDataset revised,
+                           LoadDataset(flags.String("revised")));
   InstructionDataset human = original;
   if (flags.Has("human")) {
-    COACHLM_ASSIGN_OR_RETURN(
-        human, LoadDataset(flags.GetString("human")));
+    COACHLM_ASSIGN_OR_RETURN(human, LoadDataset(flags.String("human")));
   }
-  const std::string set_name = flags.GetString("testset", "coachlm150");
-  testsets::TestSet set;
-  if (set_name == "pandalm170") set = testsets::PandaLm170();
-  else if (set_name == "vicuna80") set = testsets::Vicuna80();
-  else if (set_name == "selfinstruct252") set = testsets::SelfInstruct252();
-  else set = testsets::CoachLm150();
+  // In the order of the --testset row's choices.
+  static constexpr testsets::TestSet (*kTestSets[])() = {
+      testsets::CoachLm150, testsets::PandaLm170, testsets::Vicuna80,
+      testsets::SelfInstruct252};
+  const testsets::TestSet set = kTestSets[flags.Choice("testset")]();
 
   tuning::ZooInputs inputs;
   inputs.original = &original;
@@ -660,17 +485,13 @@ Status RunEvaluate(const Flags& flags) {
   return Status::OK();
 }
 
-Status RunPipeline(const Flags& flags) {
+Status RunPipeline(const Flags& flags, PipelineRuntime* runtime) {
   // The Fig. 2 flow in one process: synthesize a corpus, run the expert
   // study, train CoachLM, revise the corpus. The revision pass — the
   // dominant stage — is the one journaled under --checkpoint-dir.
   synth::CorpusConfig corpus_config;
-  corpus_config.size = static_cast<size_t>(flags.GetInt("size", 52000));
-  corpus_config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  COACHLM_ASSIGN_OR_RETURN(std::unique_ptr<PipelineRuntime> owned,
-                           MakeRuntime(flags));
-  PipelineRuntime* runtime =
-      owned != nullptr ? owned.get() : PipelineRuntime::Default();
+  corpus_config.size = static_cast<size_t>(flags.Int("size"));
+  corpus_config.seed = static_cast<uint64_t>(flags.Int("seed"));
   const Governance governance = MakeGovernance(flags, runtime);
   const ExecutionContext& exec = FlagExec(flags);
 
@@ -680,17 +501,14 @@ Status RunPipeline(const Flags& flags) {
 
   synth::ContentEngine engine;
   expert::RevisionStudyConfig study_config;
-  study_config.sample_size = static_cast<size_t>(flags.GetInt("sample", 6000));
-  study_config.seed = static_cast<uint64_t>(flags.GetInt("study-seed", 17));
+  study_config.sample_size = static_cast<size_t>(flags.Int("sample"));
+  study_config.seed = static_cast<uint64_t>(flags.Int("study-seed"));
   const auto study = expert::RunRevisionStudy(corpus.dataset, engine,
                                               study_config, {}, exec);
   std::printf("study: %zu revision records from %zu sampled pairs\n",
               study.revisions.size(), study_config.sample_size);
 
-  coach::CoachConfig coach_config;
-  coach_config.alpha = flags.GetDouble("alpha", 0.3);
-  coach_config.backbone =
-      BackboneByName(flags.GetString("backbone", "chatglm2"));
+  const coach::CoachConfig coach_config = FlagCoachConfig(flags);
 
   std::unique_ptr<StageCheckpointer> checkpoint = MakeCheckpointer(
       flags, "pipeline-revise",
@@ -708,7 +526,7 @@ Status RunPipeline(const Flags& flags) {
     COACHLM_RETURN_NOT_OK(checkpoint->Finish());
   }
 
-  const std::string out = flags.GetString("out", "revised.json");
+  const std::string out = flags.String("out");
   COACHLM_RETURN_NOT_OK(
       SaveDataset(result.revised_dataset, out, FlagWriteOptions(flags)));
   std::printf("revised %zu pairs (%zu changed, %zu invalid outputs "
@@ -726,8 +544,8 @@ Status RunConvert(const Flags& flags) {
   // scale, binary -> JSON for interop, and every other combination. The
   // record values pass through untouched, so a round trip reproduces the
   // original bytes (the corpus-io CI job cmp-checks exactly that).
-  const std::string in = InputPath(flags, "in", "corpus.json");
-  const std::string out = flags.GetString("out", "corpus.clmb");
+  const std::string in = InputPath(flags);
+  const std::string out = flags.String("out");
   COACHLM_ASSIGN_OR_RETURN(InstructionDataset dataset, LoadDataset(in));
   COACHLM_RETURN_NOT_OK(SaveDataset(dataset, out, FlagWriteOptions(flags)));
   std::printf("converted %zu pairs: %s -> %s\n", dataset.size(), in.c_str(),
@@ -749,8 +567,8 @@ std::string WorkerReportPath(const std::string& metrics_out, int index) {
 /// SIGHUP (reload) to the fleet. Each worker writes its own run report;
 /// the parent folds them into its registry so Main() emits one merged,
 /// schema-identical report for the whole fleet.
-Status RunServeSupervised(const Flags& flags, serve::ServeConfig config,
-                          int processes) {
+Status RunServeSupervised(serve::ServeConfig config, int processes,
+                          const std::string& metrics_out) {
   // Fail fast in the parent: a checkpoint that cannot load would send
   // every worker into the same crash loop, which the circuit breaker
   // would stop — but a typed startup error is cheaper and clearer.
@@ -760,9 +578,6 @@ Status RunServeSupervised(const Flags& flags, serve::ServeConfig config,
   }
   config.reuse_port = true;
 
-  const std::string metrics_out =
-      flags.Has("metrics-out") ? flags.GetString("metrics-out")
-                               : GetEnvOr("COACHLM_METRICS_OUT", "");
   const bool observed = !metrics_out.empty();
 
   serve::SupervisorConfig supervisor_config;
@@ -840,32 +655,26 @@ Status RunServeSupervised(const Flags& flags, serve::ServeConfig config,
   return Status::OK();
 }
 
-Status RunServe(const Flags& flags) {
+Status RunServe(const Flags& flags, const PipelineRuntime* runtime,
+                const std::string& metrics_out) {
   serve::ServeConfig config;
-  config.port = static_cast<int>(flags.GetInt("port", 8080));
-  config.workers = static_cast<int>(flags.GetInt("serve-workers", 4));
-  config.queue_depth = static_cast<int>(flags.GetInt("queue-depth", 64));
-  config.request_deadline_ms = flags.GetInt("request-deadline-ms", 2000);
-  config.read_timeout_ms = flags.GetInt("read-timeout-ms", 0);
-  config.write_timeout_ms = flags.GetInt("write-timeout-ms", 0);
-  config.checkpoint = flags.GetString("checkpoint", "coach.json");
-  config.coach.alpha = flags.GetDouble("alpha", 0.3);
-  config.coach.backbone =
-      BackboneByName(flags.GetString("backbone", "chatglm2"));
-  config.coach.verify_expansions = flags.Has("verify");
+  config.port = static_cast<int>(flags.Int("port"));
+  config.workers = static_cast<int>(flags.Int("serve-workers"));
+  config.queue_depth = static_cast<int>(flags.Int("queue-depth"));
+  config.request_deadline_ms = flags.Int("request-deadline-ms");
+  config.read_timeout_ms = flags.Int("read-timeout-ms");
+  config.write_timeout_ms = flags.Int("write-timeout-ms");
+  config.checkpoint = flags.String("checkpoint");
+  config.coach = FlagCoachConfig(flags);
   config.parse_limits = json::ParseLimits::Default();
-  if (flags.Has("fault-plan")) {
-    COACHLM_ASSIGN_OR_RETURN(config.fault_plan,
-                             FaultPlan::Parse(flags.GetString("fault-plan")));
-  }
-  if (flags.Has("retry-max")) {
-    config.retry.max_attempts =
-        static_cast<int>(flags.GetInt("retry-max", 4));
+  if (runtime != nullptr) {
+    config.fault_plan = runtime->injector().plan();
+    config.retry = runtime->policy();
   }
   COACHLM_RETURN_NOT_OK(config.Validate());
 
-  const int processes = static_cast<int>(flags.GetInt("serve-processes", 1));
-  if (processes > 1) return RunServeSupervised(flags, config, processes);
+  const int processes = static_cast<int>(flags.Int("serve-processes"));
+  if (processes > 1) return RunServeSupervised(config, processes, metrics_out);
 
   // The daemon deliberately opens no child spans: the root "serve" span
   // alone covers the whole resident lifetime in the run report, and
@@ -908,101 +717,6 @@ Status RunServe(const Flags& flags) {
   return Status::OK();
 }
 
-/// Validates every flag that must be numeric / well-formed before any
-/// command runs, so a typo is a usage error (exit 2), never a silently
-/// substituted default. Returns the first violation.
-Status ValidateFlags(const Flags& flags) {
-  // Strictly-integer flags, with their lower bounds. An explicit
-  // `--threads 0` is rejected even though the *absent* flag defaults to 0
-  // (auto): passing zero workers is always a mistake.
-  struct IntFlag {
-    const char* name;
-    int64_t min;
-    int64_t max;
-  };
-  constexpr int64_t kMax = INT64_MAX;
-  const IntFlag int_flags[] = {
-      {"size", 0, kMax},
-      {"seed", 0, kMax},
-      {"sample", 0, kMax},
-      {"shards", 1, 100000},
-      {"study-seed", 0, kMax},
-      {"threads", 1, 1024},
-      {"retry-max", 1, kMax},
-      {"checkpoint-interval", 1, kMax},
-      {"crash-after-commits", 1, kMax},
-      {"deadline-ms", 1, kMax},
-      {"stall-timeout-ms", 1, kMax},
-      {"max-record-bytes", 1, kMax},
-      {"max-json-depth", 1, kMax},
-      {"port", 1, 65535},
-      {"serve-workers", 1, 1024},
-      {"serve-processes", 1, 256},
-      {"queue-depth", 1, 1000000},
-      {"request-deadline-ms", 1, kMax},
-      {"read-timeout-ms", 1, kMax},
-      {"write-timeout-ms", 1, kMax},
-  };
-  for (const IntFlag& spec : int_flags) {
-    if (!flags.Has(spec.name)) continue;
-    COACHLM_ASSIGN_OR_RETURN(const int64_t value,
-                             flags.GetIntStrict(spec.name, 0));
-    if (value < spec.min || value > spec.max) {
-      return Status::InvalidArgument(
-          "--" + std::string(spec.name) + " must be " +
-          (spec.max == kMax
-               ? ">= " + std::to_string(spec.min)
-               : "between " + std::to_string(spec.min) + " and " +
-                     std::to_string(spec.max)) +
-          " (got " + std::to_string(value) + ")");
-    }
-  }
-  if (flags.Has("fault-plan")) {
-    // Surface unknown sites / malformed specs as usage errors up front,
-    // not mid-command.
-    COACHLM_RETURN_NOT_OK(
-        FaultPlan::Parse(flags.GetString("fault-plan")).status());
-  }
-  if (flags.Has("format")) {
-    // Unknown corpus formats are usage errors, never silently "auto".
-    COACHLM_RETURN_NOT_OK(
-        ParseCorpusFormat(flags.GetString("format")).status());
-  }
-  if (flags.command() == "serve") {
-    // The daemon is not a batch run: flags that steer batch I/O,
-    // checkpoint/resume, or the whole-run deadline have no meaning for a
-    // resident service and are rejected instead of silently ignored.
-    static const char* const kBatchOnly[] = {
-        "in", "out",
-        "resume", "checkpoint-dir",
-        "checkpoint-interval", "crash-after-commits",
-        "corpus-manifest", "shards",
-        "format", "deadline-ms",
-        "stall-timeout-ms",
-    };
-    for (const char* banned : kBatchOnly) {
-      if (flags.Has(banned)) {
-        return Status::InvalidArgument(
-            "serve: --" + std::string(banned) +
-            " is a batch-only flag (use --request-deadline-ms for the "
-            "per-request budget; see docs/SERVING.md)");
-      }
-    }
-  }
-  if (flags.Has("corpus-manifest")) {
-    const std::string manifest = flags.GetString("corpus-manifest");
-    const std::string suffix = ".manifest.json";
-    if (manifest.size() <= suffix.size() ||
-        manifest.compare(manifest.size() - suffix.size(), suffix.size(),
-                         suffix) != 0) {
-      return Status::InvalidArgument(
-          "--corpus-manifest must name a .manifest.json file (got '" +
-          manifest + "')");
-    }
-  }
-  return Status::OK();
-}
-
 /// `coachlm metrics`: prints the metric catalog (the registry's single
 /// source of truth, which tools/check_docs.sh diffs against the docs), or
 /// with --validate schema-checks a run report — or a JSONL bench
@@ -1012,7 +726,7 @@ Status RunMetrics(const Flags& flags) {
     std::printf("%s", MetricsRegistry::CatalogDump().c_str());
     return Status::OK();
   }
-  const std::string path = flags.GetString("validate");
+  const std::string path = flags.String("validate");
   COACHLM_ASSIGN_OR_RETURN(const std::string text, json::ReadFile(path));
   Result<json::Value> whole = json::Parse(text);
   if (whole.ok()) {
@@ -1058,44 +772,36 @@ void ApplyParseLimitFlags(const Flags& flags) {
   json::ParseLimits limits = json::ParseLimits::Default();
   if (flags.Has("max-record-bytes")) {
     limits.max_record_bytes =
-        static_cast<size_t>(flags.GetInt("max-record-bytes", 0));
+        static_cast<size_t>(flags.Int("max-record-bytes"));
   }
   if (flags.Has("max-json-depth")) {
-    limits.max_depth = static_cast<size_t>(flags.GetInt("max-json-depth", 0));
+    limits.max_depth = static_cast<size_t>(flags.Int("max-json-depth"));
   }
   json::ParseLimits::SetProcessDefault(limits);
 }
 
 int Main(int argc, char** argv) {
-  auto flags = Flags::Parse(
-      argc, argv,
-      {"size", "seed", "out", "in", "sample", "merged", "revisions", "alpha",
-       "backbone", "checkpoint", "verify", "threads", "original", "revised",
-       "human", "testset", "detailed", "before", "after", "fault-plan",
-       "retry-max", "quarantine", "checkpoint-dir", "resume",
-       "crash-after-commits", "checkpoint-interval", "study-seed",
-       "deadline-ms", "stall-timeout-ms", "max-record-bytes",
-       "max-json-depth", "metrics-out", "metrics-deterministic", "validate",
-       "format", "shards", "corpus-manifest", "port",
-       "serve-workers", "serve-processes", "queue-depth",
-       "request-deadline-ms",
-       "read-timeout-ms", "write-timeout-ms"});
-  if (!flags.ok()) {
-    std::fprintf(stderr, "%s\n%s", flags.status().ToString().c_str(), kUsage);
-    return 2;
+  const FlagTable& table = CoachlmFlagTable();
+  const Result<Flags> flags = Flags::Parse(table, argc, argv);
+  const Result<std::unique_ptr<PipelineRuntime>> owned =
+      flags.ok() ? MakeRuntime(*flags) : flags.status();
+  if (!owned.ok() || flags->command().empty()) {
+    if (!owned.ok()) {
+      std::fprintf(stderr, "%s\n", owned.status().ToString().c_str());
+    }
+    std::fprintf(stderr, "%s", table.Usage().c_str());
+    return owned.ok() ? 0 : 2;
   }
-  const Status valid = ValidateFlags(*flags);
-  if (!valid.ok()) {
-    std::fprintf(stderr, "%s\n%s", valid.ToString().c_str(), kUsage);
-    return 2;
-  }
-  ApplyParseLimitFlags(*flags);
   const std::string& command = flags->command();
+  ApplyParseLimitFlags(*flags);
+  auto runtime = [&owned] {
+    return *owned != nullptr ? owned->get() : PipelineRuntime::Default();
+  };
   // Observability: when a report path is configured (flag or environment),
   // arm metrics + tracing before dispatch and write the report after —
   // even for a failed run, so operators can see where it got to.
   const std::string metrics_out =
-      flags->Has("metrics-out") ? flags->GetString("metrics-out")
+      flags->Has("metrics-out") ? flags->String("metrics-out")
                                 : GetEnvOr("COACHLM_METRICS_OUT", "");
   const bool metrics_deterministic =
       flags->Has("metrics-deterministic") ||
@@ -1107,22 +813,18 @@ int Main(int argc, char** argv) {
     root_span = Observability::Default().trace().BeginSpan(command);
   }
   Status status;
-  if (command == "generate") status = RunGenerate(*flags);
+  if (command == "generate") status = RunGenerate(*flags, runtime());
   else if (command == "study") status = RunStudy(*flags);
   else if (command == "train") status = RunTrain(*flags);
-  else if (command == "revise") status = RunRevise(*flags);
+  else if (command == "revise") status = RunRevise(*flags, runtime());
   else if (command == "rate") status = RunRate(*flags);
   else if (command == "diff") status = RunDiff(*flags);
   else if (command == "inspect") status = RunInspect(*flags);
   else if (command == "evaluate") status = RunEvaluate(*flags);
-  else if (command == "pipeline") status = RunPipeline(*flags);
+  else if (command == "pipeline") status = RunPipeline(*flags, runtime());
   else if (command == "convert") status = RunConvert(*flags);
   else if (command == "metrics") status = RunMetrics(*flags);
-  else if (command == "serve") status = RunServe(*flags);
-  else {
-    std::fprintf(stderr, "%s", kUsage);
-    return command.empty() ? 0 : 2;
-  }
+  else status = RunServe(*flags, owned->get(), metrics_out);  // serve
   if (root_span >= 0) {
     Observability::Default().trace().EndSpan(root_span);
     RunReportOptions options;
