@@ -196,12 +196,13 @@ const std::vector<MetricDef>& MetricCatalog() {
        "serve", "Requests answered with a typed 4xx (hostile body, bad "
        "endpoint, oversized payload)"},
       {"serve.requests_deadline_exceeded", MetricType::kCounter, "requests",
-       "serve", "Requests cancelled by the per-request deadline (504)"},
+       "serve", "Requests cut off by a deadline: the per-request budget "
+       "(504) or the socket read timeout (408)"},
       {"serve.requests_ok", MetricType::kCounter, "requests", "serve",
        "Requests answered with 2xx"},
       {"serve.requests_server_error", MetricType::kCounter, "requests",
-       "serve", "Requests answered with 5xx (injected accept/parse faults, "
-       "internal errors)"},
+       "serve", "Requests answered with a 5xx other than 504 (injected "
+       "accept/parse faults, internal errors)"},
       {"serve.requests_shed", MetricType::kCounter, "requests", "serve",
        "Connections shed with 429 + Retry-After because the admission "
        "queue was full"},

@@ -3,6 +3,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <utility>
@@ -11,6 +12,13 @@
 
 namespace coachlm {
 namespace serve {
+
+/// \brief One admitted connection: its socket and the request id the
+/// accept loop drew for it, which keys all of its fault decisions.
+struct AdmittedConnection {
+  int fd = -1;
+  uint64_t request_id = 0;
+};
 
 /// \brief Bounded MPMC admission queue — the server's overload valve.
 ///
@@ -65,20 +73,10 @@ class AdmissionQueue {
     ready_.notify_all();
   }
 
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return items_.size();
-  }
-
   /// High-water mark of queued items (the serve.queue_depth_peak gauge).
   size_t peak() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return peak_;
-  }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
   }
 
  private:

@@ -38,9 +38,6 @@ ChaosSocket::ChaosSocket(int fd, const FaultPlan& plan,
   rst_armed_ = ArmOps(FaultSite::kChaosRst) > 0;
 }
 
-ChaosSocket::ChaosSocket(int fd)
-    : fd_(fd), plan_(), connection_id_(0), clock_(Clock::System()) {}
-
 int ChaosSocket::ArmOps(FaultSite site) const {
   if (!plan_.active()) return 0;
   if ((plan_.site_mask & FaultSiteBit(site)) == 0) return 0;

@@ -41,7 +41,9 @@ struct ChaosStats {
 /// decision is a pure function of (plan.seed, site, connection_id) keyed
 /// exactly like FaultInjector::Inject — equal plans against equal
 /// connection ids disturb the same operations no matter which thread or
-/// process carries the connection. A default plan (or one whose mask
+/// process carries the connection. RevisionServer passes the request id
+/// its accept loop drew, so a server-side schedule follows accept order,
+/// not worker placement. A default plan (or one whose mask
 /// carries no chaos sites) makes every call a thin passthrough plus the
 /// robust-I/O semantics of SendAll/RecvSome.
 ///
@@ -54,9 +56,6 @@ class ChaosSocket {
   /// Wraps \p fd. \p clock serves injected stalls (nullptr = system clock).
   ChaosSocket(int fd, const FaultPlan& plan, uint64_t connection_id,
               Clock* clock = nullptr);
-
-  /// Inert wrapper: no plan, passthrough I/O only.
-  explicit ChaosSocket(int fd);
 
   ChaosSocket(const ChaosSocket&) = delete;
   ChaosSocket& operator=(const ChaosSocket&) = delete;
@@ -83,7 +82,6 @@ class ChaosSocket {
   /// observes a hard RST instead of an orderly FIN.
   void Close();
 
-  int fd() const { return fd_; }
   const ChaosStats& stats() const { return stats_; }
 
  private:

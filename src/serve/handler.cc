@@ -57,12 +57,10 @@ HttpResponse HandleReload(const ServeContext& context) {
     // A torn/invalid artifact is the *operator's* asset failing, not the
     // client's request: always 503 (the old model is still serving), with
     // the loader's typed code preserved in the body for the runbook.
-    CountMetric("serve.reloads_rejected");
     HttpResponse response = ErrorResponse(result.status);
     response.status = 503;
     return response;
   }
-  CountMetric("serve.reloads_ok");
   json::Object body;
   body["status"] = json::Value("reloaded");
   body["version"] = json::Value(result.version);
@@ -72,13 +70,15 @@ HttpResponse HandleReload(const ServeContext& context) {
 HttpResponse HandleRevise(const ServeContext& context, uint64_t request_id,
                           const HttpRequest& request) {
   const ServeConfig& config = *context.config;
+  // The fault envelope batch stages run under, scoped to this one request.
+  PipelineRuntime runtime(FaultInjector(config.fault_plan), config.retry,
+                          context.clock);
   // The request-envelope fault site: a plan targeting serve.parse makes
   // body handling itself fail (typed 5xx/4xx), exercising the client-visible
   // degraded path deterministically.
-  const FaultInjector injector(config.fault_plan);
   {
-    const Status injected = injector.Inject(FaultSite::kServeParse,
-                                            request_id, 1, context.clock);
+    const Status injected = runtime.injector().Inject(
+        FaultSite::kServeParse, request_id, 1, context.clock);
     if (!injected.ok()) return ErrorResponse(injected);
   }
 
@@ -98,14 +98,11 @@ HttpResponse HandleRevise(const ServeContext& context, uint64_t request_id,
     return ErrorResponse(Status::Unavailable("serve: no model loaded"));
   }
 
-  // Per-request budget + fault envelope: the same machinery batch stages
-  // run under, scoped to this one request. Transient revise faults retry
-  // under config.retry; permanent ones degrade per record (original pair
-  // kept); a blown deadline fails the whole request as a typed 504.
+  // Per-request budget: transient revise faults retry under config.retry;
+  // permanent ones degrade per record (original pair kept); a blown
+  // deadline fails the whole request as a typed 504.
   CancelToken cancel = CancelToken::AfterMicros(
       context.clock, config.request_deadline_ms * 1000);
-  PipelineRuntime runtime(FaultInjector(config.fault_plan), config.retry,
-                          context.clock);
   runtime.set_cancel_token(&cancel);
 
   std::string out;
@@ -193,28 +190,6 @@ HttpResponse HandleRequest(const ServeContext& context, uint64_t request_id,
   }
   return ErrorResponse(
       Status::NotFound("serve: no endpoint at " + request.target));
-}
-
-void RecordRequestMetrics(const HttpResponse& response,
-                          const std::string& target, int64_t latency_micros) {
-  if (response.status == 429) {
-    CountMetric("serve.requests_shed");
-  } else if (response.status == 504 || response.status == 408) {
-    CountMetric("serve.requests_deadline_exceeded");
-  } else if (response.status >= 500) {
-    CountMetric("serve.requests_server_error");
-  } else if (response.status >= 400) {
-    CountMetric("serve.requests_client_error");
-  } else {
-    CountMetric("serve.requests_ok");
-  }
-  if (target == "/v1/revise") {
-    ObserveMetric("serve.latency_revise_micros", latency_micros);
-  } else if (target == "/admin/reload") {
-    ObserveMetric("serve.latency_admin_micros", latency_micros);
-  } else {
-    ObserveMetric("serve.latency_health_micros", latency_micros);
-  }
 }
 
 }  // namespace serve

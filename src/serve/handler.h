@@ -39,17 +39,11 @@ struct ServeContext {
 ///   POST /admin/reload  hot model reload (typed failure keeps old model)
 ///   GET  /metrics       MetricsRegistry snapshot as JSON
 ///
-/// \p request_id keys the deterministic fault/RNG streams for this
-/// request (the accept sequence number on the wire path).
+/// \p request_id keys this request's serve.parse / serve.revise fault
+/// streams: on the wire path, the accept sequence number the server drew
+/// once per connection. The server, not the handler, counts responses.
 HttpResponse HandleRequest(const ServeContext& context, uint64_t request_id,
                            const HttpRequest& request);
-
-/// Counts the response into the serve.requests_* metric family and its
-/// endpoint latency histogram. Split from HandleRequest so the socket
-/// server can time the full wire round-trip, while direct callers (tests)
-/// time just the handler.
-void RecordRequestMetrics(const HttpResponse& response,
-                          const std::string& target, int64_t latency_micros);
 
 }  // namespace serve
 }  // namespace coachlm

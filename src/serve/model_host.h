@@ -1,6 +1,7 @@
 #ifndef COACHLM_SERVE_MODEL_HOST_H_
 #define COACHLM_SERVE_MODEL_HOST_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -8,6 +9,8 @@
 
 #include "coach/coach_lm.h"
 #include "common/annotations.h"
+#include "common/logging.h"
+#include "common/metrics.h"
 #include "common/result.h"
 #include "common/status.h"
 
@@ -27,13 +30,18 @@ namespace serve {
 /// rename makes this rare, but operators can still point the server at
 /// garbage) returns the loader's typed error and leaves the old snapshot
 /// live — a failed reload is observable, never destructive.
+///
+/// Reload() is the one reload path: SIGHUP and POST /admin/reload both
+/// call it, and it alone counts serve.reloads_ok / serve.reloads_rejected
+/// and logs the outcome.
 class ModelHost {
  public:
   ModelHost(std::string checkpoint_path, coach::CoachConfig config)
       : checkpoint_path_(std::move(checkpoint_path)), config_(config) {}
 
-  /// Initial load; the server refuses to start without a valid model.
-  [[nodiscard]] Status Load() { return ReloadLocked().status; }
+  /// Initial load (not counted as a reload); the server refuses to start
+  /// without a valid model.
+  [[nodiscard]] Status Load() { return Swap().status; }
 
   /// Outcome of one reload attempt.
   struct ReloadResult {
@@ -45,7 +53,24 @@ class ModelHost {
   /// Atomically swaps in a fresh checkpoint read; on failure the previous
   /// model stays live. Safe to call concurrently from the signal-polling
   /// accept loop and a /admin/reload worker.
-  ReloadResult Reload() { return ReloadLocked(); }
+  ReloadResult Reload() {
+    const ReloadResult result = Swap();
+    if (result.status.ok()) {
+      CountMetric("serve.reloads_ok");
+      COACHLM_LOG_INFO << "serve: model reloaded, version " << result.version;
+    } else {
+      reloads_rejected_.fetch_add(1, std::memory_order_relaxed);
+      CountMetric("serve.reloads_rejected");
+      COACHLM_LOG_WARN << "serve: reload rejected, keeping version "
+                       << result.version << ": " << result.status.ToString();
+    }
+    return result;
+  }
+
+  /// Failed reloads (successful ones are version() - 1).
+  uint64_t reloads_rejected() const {
+    return reloads_rejected_.load(std::memory_order_relaxed);
+  }
 
   /// The current immutable model snapshot (nullptr before first Load()).
   std::shared_ptr<const coach::CoachLm> Snapshot() const {
@@ -64,7 +89,7 @@ class ModelHost {
   const coach::CoachConfig& config() const { return config_; }
 
  private:
-  ReloadResult ReloadLocked() {
+  ReloadResult Swap() {
     // The checkpoint read happens outside the swap lock on purpose: a slow
     // disk must not stall Snapshot() calls on the request path.
     Result<coach::CoachLm> loaded =
@@ -90,6 +115,7 @@ class ModelHost {
   mutable std::mutex mutex_;
   std::shared_ptr<const coach::CoachLm> model_ COACHLM_GUARDED_BY(mutex_);
   uint64_t version_ COACHLM_GUARDED_BY(mutex_) = 0;
+  std::atomic<uint64_t> reloads_rejected_{0};
 };
 
 }  // namespace serve

@@ -18,9 +18,10 @@ namespace serve {
 ///
 /// Everything here is fixed for the server's lifetime; the only mutable
 /// piece of server state is the model snapshot inside ModelHost. The CLI
-/// maps its flags onto this struct and Validate() is the single authority
-/// on what is acceptable — the CLI's exit-2 flag validation and the
-/// library tests both go through it.
+/// maps its flags onto this struct after its flag table has bounded them
+/// (exit 2 on a bad value); Validate() is the library's own guard, run by
+/// RevisionServer::StartServing and WorkerSupervisor::Start for callers
+/// that build a config by hand.
 struct ServeConfig {
   /// TCP port on 127.0.0.1. The CLI requires 1..65535; the library also
   /// accepts 0 (kernel-assigned ephemeral port) so tests and the in-process
@@ -67,32 +68,32 @@ struct ServeConfig {
 
   [[nodiscard]] Status Validate() const {
     if (port < 0 || port > 65535) {
-      return Status::InvalidArgument("serve: --port must be in 1..65535, got " +
+      return Status::InvalidArgument("serve: port must be in 0..65535, got " +
                                      std::to_string(port));
     }
     if (workers < 1 || workers > 1024) {
       return Status::InvalidArgument(
-          "serve: --serve-workers must be in 1..1024, got " +
+          "serve: workers must be in 1..1024, got " +
           std::to_string(workers));
     }
     if (queue_depth < 1 || queue_depth > 1000000) {
       return Status::InvalidArgument(
-          "serve: --queue-depth must be in 1..1000000, got " +
+          "serve: queue_depth must be in 1..1000000, got " +
           std::to_string(queue_depth));
     }
     if (request_deadline_ms < 1) {
       return Status::InvalidArgument(
-          "serve: --request-deadline-ms must be >= 1, got " +
+          "serve: request_deadline_ms must be >= 1, got " +
           std::to_string(request_deadline_ms));
     }
     if (read_timeout_ms < 0) {
       return Status::InvalidArgument(
-          "serve: --read-timeout-ms must be >= 1, got " +
+          "serve: read_timeout_ms must be >= 0, got " +
           std::to_string(read_timeout_ms));
     }
     if (write_timeout_ms < 0) {
       return Status::InvalidArgument(
-          "serve: --write-timeout-ms must be >= 1, got " +
+          "serve: write_timeout_ms must be >= 0, got " +
           std::to_string(write_timeout_ms));
     }
     if (checkpoint.empty()) {

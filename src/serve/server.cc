@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <csignal>
 #include <cstring>
@@ -75,6 +76,35 @@ void SendResponseAndDiscard(int fd, const std::string& bytes) {
   }
 }
 
+/// Each Outcome's counter and drain-summary label, in enum order.
+struct OutcomeRow {
+  const char* metric;
+  const char* label;
+};
+constexpr std::array<OutcomeRow, kOutcomeCount> kOutcomes = {{
+    {"serve.requests_ok", "ok"},
+    {"serve.requests_shed", "shed"},
+    {"serve.requests_client_error", "client errors"},
+    {"serve.requests_server_error", "server errors"},
+    {"serve.requests_deadline_exceeded", "deadline"},
+}};
+
+Outcome Classify(int status) {
+  if (status == 429) return Outcome::kShed;
+  // 408 is the client too slow to send, 504 the request's own budget.
+  if (status == 408 || status == 504) return Outcome::kDeadline;
+  if (status >= 500) return Outcome::kServerError;
+  if (status >= 400) return Outcome::kClientError;
+  return Outcome::kOk;
+}
+
+/// \p plan without chaos.rst: server-side chaos disturbs a worker's own
+/// syscalls, but the server never tears down an admitted connection.
+FaultPlan ServerChaosPlan(FaultPlan plan) {
+  plan.site_mask &= ~FaultSiteBit(FaultSite::kChaosRst);
+  return plan;
+}
+
 }  // namespace
 
 void InstallServeSignalHandlers() {
@@ -107,6 +137,8 @@ RevisionServer::RevisionServer(const ServeConfig& config, ModelHost* models,
     : config_(config),
       models_(models),
       clock_(clock != nullptr ? clock : Clock::System()),
+      accept_faults_(config.fault_plan),
+      chaos_plan_(ServerChaosPlan(config.fault_plan)),
       queue_(static_cast<size_t>(config.queue_depth)) {}
 
 RevisionServer::~RevisionServer() {
@@ -196,31 +228,13 @@ void RevisionServer::RequestDrain() {
   queue_.Shutdown();
 }
 
-ModelHost::ReloadResult RevisionServer::RequestReload() {
-  const ModelHost::ReloadResult result = models_->Reload();
-  if (result.status.ok()) {
-    stats_.reloads_ok.fetch_add(1, std::memory_order_relaxed);
-    COACHLM_LOG_INFO << "serve: model reloaded, version " << result.version;
-  } else {
-    stats_.reloads_rejected.fetch_add(1, std::memory_order_relaxed);
-    CountMetric("serve.reloads_rejected");
-    COACHLM_LOG_WARN << "serve: reload rejected, keeping version "
-                     << result.version << ": " << result.status.ToString();
-  }
-  return result;
-}
-
 void RevisionServer::AcceptLoop() {
   while (!draining_.load(std::memory_order_acquire)) {
     if (ServeDrainSignalled()) {
       RequestDrain();
       break;
     }
-    if (ConsumeReloadSignal()) {
-      if (RequestReload().status.ok()) {
-        CountMetric("serve.reloads_ok");
-      }
-    }
+    if (ConsumeReloadSignal()) (void)models_->Reload();
     const int fd = listen_fd_.load(std::memory_order_acquire);
     if (fd < 0) break;
     pollfd pfd = {};
@@ -232,30 +246,25 @@ void RevisionServer::AcceptLoop() {
     const int conn = ::accept(fd, nullptr, nullptr);
     if (conn < 0) continue;  // Listener closed under us or transient.
 
-    const uint64_t request_id =
-        next_request_id_.fetch_add(1, std::memory_order_relaxed);
-    stats_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
+    const uint64_t request_id = next_request_id_++;
+    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     CountMetric("serve.connections_accepted");
     SetSocketTimeouts(conn, config_.EffectiveReadTimeoutMs(),
                       config_.EffectiveWriteTimeoutMs());
 
     // The connection-level fault site: a plan targeting serve.accept turns
-    // admission itself into a typed 503, exercising client retry paths.
-    const FaultInjector injector(config_.fault_plan);
-    const Status injected =
-        injector.Inject(FaultSite::kServeAccept, request_id, 1, nullptr);
+    // admission itself into a typed 5xx, exercising client retry paths.
+    const Status injected = accept_faults_.Inject(FaultSite::kServeAccept,
+                                                  request_id, 1, nullptr);
     if (!injected.ok()) {
       HttpResponse response;
       response.status = HttpStatusFromStatus(injected);
       response.body = HttpErrorBody(injected);
-      SendResponseAndDiscard(conn, response.Serialize());
-      (void)::close(conn);
-      RecordRequestMetrics(response, "/", 0);
-      stats_.requests_server_error.fetch_add(1, std::memory_order_relaxed);
+      Refuse(conn, response);
       continue;
     }
 
-    if (!queue_.TryPush(conn)) {
+    if (!queue_.TryPush({conn, request_id})) {
       // Admission control: full queue -> explicit shed, bounded memory.
       HttpResponse response;
       response.status = 429;
@@ -265,10 +274,7 @@ void RevisionServer::AcceptLoop() {
           "serve: admission queue full (depth " +
           std::to_string(config_.queue_depth) + "); retry after " +
           std::to_string(config_.retry_after_seconds) + "s"));
-      SendResponseAndDiscard(conn, response.Serialize());
-      (void)::close(conn);
-      RecordRequestMetrics(response, "/", 0);
-      stats_.requests_shed.fetch_add(1, std::memory_order_relaxed);
+      Refuse(conn, response);
       continue;
     }
     SetGaugeMetric("serve.queue_depth_peak",
@@ -277,13 +283,23 @@ void RevisionServer::AcceptLoop() {
 }
 
 void RevisionServer::WorkerLoop() {
-  int fd = -1;
-  while (queue_.Pop(&fd)) {
-    const uint64_t request_id =
-        next_request_id_.fetch_add(1, std::memory_order_relaxed);
-    ServeConnection(fd, request_id);
-    (void)::close(fd);
+  AdmittedConnection connection;
+  while (queue_.Pop(&connection)) {
+    ServeConnection(connection.fd, connection.request_id);
+    (void)::close(connection.fd);
   }
+}
+
+void RevisionServer::Refuse(int fd, const HttpResponse& response) {
+  SendResponseAndDiscard(fd, response.Serialize());
+  (void)::close(fd);
+  CountOutcome(response);
+}
+
+void RevisionServer::CountOutcome(const HttpResponse& response) {
+  const size_t outcome = static_cast<size_t>(Classify(response.status));
+  answered_[outcome].fetch_add(1, std::memory_order_relaxed);
+  CountMetric(kOutcomes[outcome].metric);
 }
 
 void RevisionServer::ServeConnection(int fd, uint64_t request_id) {
@@ -291,14 +307,7 @@ void RevisionServer::ServeConnection(int fd, uint64_t request_id) {
   HttpRequestParser parser(config_.http_limits);
   char buffer[16 * 1024];
   Status parse_status = Status::OK();
-  // Server-side chaos disturbs this worker's own syscalls (short reads,
-  // torn writes, EINTR, stalls) to prove the loops below are robust; the
-  // RST site stays client-only — the server must never tear down an
-  // admitted connection on purpose.
-  FaultPlan server_chaos = config_.fault_plan;
-  server_chaos.site_mask &=
-      ~FaultSiteBit(FaultSite::kChaosRst);
-  ChaosSocket socket(fd, server_chaos, request_id, clock_);
+  ChaosSocket socket(fd, chaos_plan_, request_id, clock_);
   while (!parser.complete()) {
     const ssize_t got = socket.Recv(buffer, sizeof(buffer));
     if (got < 0) {
@@ -336,29 +345,20 @@ void RevisionServer::ServeConnection(int fd, uint64_t request_id) {
     context.draining = draining_.load(std::memory_order_acquire);
     target = parser.request().target;
     response = HandleRequest(context, request_id, parser.request());
-    if (target == "/admin/reload") {
-      if (response.status == 200) {
-        stats_.reloads_ok.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        stats_.reloads_rejected.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
   }
   // Robust full-write: loops through partial writes and EINTR. A peer
   // that vanished or stopped reading is their loss — the request was
   // still answered as far as the drain contract is concerned.
   (void)socket.SendAll(response.Serialize());
-  RecordRequestMetrics(response, target,
-                       clock_->NowMicros() - started_micros);
-  if (response.status < 400) {
-    stats_.requests_ok.fetch_add(1, std::memory_order_relaxed);
-  } else if (response.status == 504 || response.status == 408) {
-    stats_.requests_deadline.fetch_add(1, std::memory_order_relaxed);
-  } else if (response.status >= 500) {
-    stats_.requests_server_error.fetch_add(1, std::memory_order_relaxed);
+  const int64_t micros = clock_->NowMicros() - started_micros;
+  if (target == "/v1/revise") {
+    ObserveMetric("serve.latency_revise_micros", micros);
+  } else if (target == "/admin/reload") {
+    ObserveMetric("serve.latency_admin_micros", micros);
   } else {
-    stats_.requests_client_error.fetch_add(1, std::memory_order_relaxed);
+    ObserveMetric("serve.latency_health_micros", micros);
   }
+  CountOutcome(response);
 }
 
 void RevisionServer::AwaitDrain() {
@@ -369,11 +369,18 @@ void RevisionServer::AwaitDrain() {
   }
   SetGaugeMetric("serve.queue_depth_peak",
                  static_cast<int64_t>(queue_.peak()));
-  COACHLM_LOG_INFO << "serve: drained ("
-                   << stats_.requests_ok.load(std::memory_order_relaxed)
-                   << " ok, "
-                   << stats_.requests_shed.load(std::memory_order_relaxed)
-                   << " shed)";
+}
+
+std::string RevisionServer::DrainSummary() const {
+  std::string summary =
+      std::to_string(connections_accepted()) + " connections";
+  for (size_t i = 0; i < kOutcomeCount; ++i) {
+    summary += ", " + std::to_string(answered(static_cast<Outcome>(i))) +
+               " " + kOutcomes[i].label;
+  }
+  summary += ", " + std::to_string(models_->version() - 1) + " reloads (" +
+             std::to_string(models_->reloads_rejected()) + " rejected)";
+  return summary;
 }
 
 }  // namespace serve

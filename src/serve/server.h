@@ -1,34 +1,31 @@
 #ifndef COACHLM_SERVE_SERVER_H_
 #define COACHLM_SERVE_SERVER_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/fault.h"
 #include "common/status.h"
 #include "serve/admission.h"
+#include "serve/http.h"
 #include "serve/model_host.h"
 #include "serve/serve_config.h"
 
 namespace coachlm {
 namespace serve {
 
-/// \brief Lifetime counters of one server instance.
-///
-/// All atomics: the accept loop and every worker update them concurrently,
-/// and tests/the bench read them after AwaitDrain() joins everything.
-struct ServerStats {
-  std::atomic<uint64_t> connections_accepted{0};
-  std::atomic<uint64_t> requests_ok{0};          ///< 2xx responses.
-  std::atomic<uint64_t> requests_shed{0};        ///< 429 at admission.
-  std::atomic<uint64_t> requests_client_error{0};  ///< other 4xx + 501.
-  std::atomic<uint64_t> requests_server_error{0};  ///< 5xx except 504.
-  std::atomic<uint64_t> requests_deadline{0};    ///< 504 / 408.
-  std::atomic<uint64_t> reloads_ok{0};
-  std::atomic<uint64_t> reloads_rejected{0};
-};
+/// How an answered connection ended. Each response is classified exactly
+/// once, from its status code: 2xx ok, 429 shed, 408/504 deadline, other
+/// 5xx server error, other 4xx client error. The class feeds both its
+/// serve.requests_* counter and the server's own tally.
+enum class Outcome { kOk, kShed, kClientError, kServerError, kDeadline };
+inline constexpr size_t kOutcomeCount =
+    static_cast<size_t>(Outcome::kDeadline) + 1;
 
 /// \brief The `coachlm serve` daemon: listener, admission queue, fixed
 /// worker pool, signal-driven drain and reload.
@@ -39,8 +36,13 @@ struct ServerStats {
 /// fixed order: the listener closes FIRST (no new work can arrive), then
 /// the admission queue closes (workers answer everything already
 /// admitted), then workers exit. AwaitDrain() joins all of it. SIGHUP (or
-/// RequestReload / POST /admin/reload) hot-swaps the model; in-flight
-/// requests finish on the snapshot they started with.
+/// POST /admin/reload) calls ModelHost::Reload() to hot-swap the model;
+/// in-flight requests finish on the snapshot they started with.
+///
+/// The accept loop draws each connection's request id (the accept
+/// sequence number) once; it travels with the fd through the queue and
+/// keys the serve.accept fault, the server-side ChaosSocket and
+/// HandleRequest alike, whichever worker takes the connection.
 ///
 /// One request per connection, Connection: close — the protocol stays
 /// trivially correct under drain: every admitted connection gets exactly
@@ -67,9 +69,6 @@ class RevisionServer {
   /// the signal-flag poll): listener closes first, admitted work drains.
   void RequestDrain();
 
-  /// Hot model reload; returns the outcome (old model stays on failure).
-  ModelHost::ReloadResult RequestReload();
-
   /// True once RequestDrain() has been observed.
   bool draining() const { return draining_.load(std::memory_order_acquire); }
 
@@ -78,8 +77,19 @@ class RevisionServer {
   /// gauges. Idempotent.
   void AwaitDrain();
 
-  const ServerStats& stats() const { return stats_; }
-  const AdmissionQueue<int>& queue() const { return queue_; }
+  /// Connections accepted so far; each drew one request id.
+  uint64_t connections_accepted() const {
+    return connections_accepted_.load(std::memory_order_relaxed);
+  }
+  /// Responses of class \p outcome so far (kept even when the metrics
+  /// registry is disabled).
+  uint64_t answered(Outcome outcome) const {
+    return answered_[static_cast<size_t>(outcome)].load(
+        std::memory_order_relaxed);
+  }
+  /// "N connections, N ok, N shed, N client errors, N server errors,
+  /// N deadline, N reloads (N rejected)", from the outcome table.
+  std::string DrainSummary() const;
 
  private:
   void AcceptLoop();
@@ -87,18 +97,28 @@ class RevisionServer {
   /// Reads one request off \p fd, handles it, writes the response. Every
   /// admitted fd gets a response — even parse failures and timeouts.
   void ServeConnection(int fd, uint64_t request_id);
+  /// Answers a connection whose request is never read (accept fault,
+  /// shed) and closes it.
+  void Refuse(int fd, const HttpResponse& response);
+  /// Classifies \p response and counts it: the one counting point.
+  void CountOutcome(const HttpResponse& response);
   void CloseListener();
 
   const ServeConfig config_;
   ModelHost* const models_;
   Clock* const clock_;
-  ServerStats stats_;
-  AdmissionQueue<int> queue_;
+  /// Built once from config_.fault_plan.
+  const FaultInjector accept_faults_;
+  const FaultPlan chaos_plan_;
+  AdmissionQueue<AdmittedConnection> queue_;
   std::atomic<int> listen_fd_{-1};
   int port_ = 0;
   std::atomic<bool> draining_{false};
   std::atomic<bool> joined_{false};
-  std::atomic<uint64_t> next_request_id_{0};
+  /// The accept sequence number; only the accept thread touches it.
+  uint64_t next_request_id_ = 0;
+  std::atomic<uint64_t> connections_accepted_{0};
+  std::array<std::atomic<uint64_t>, kOutcomeCount> answered_{};
   std::thread accept_thread_;
   std::vector<std::thread> workers_;
 };
@@ -107,7 +127,7 @@ class RevisionServer {
 ///
 /// Handlers only flip `volatile sig_atomic_t` flags; the accept loop polls
 /// them every poll_interval_ms and translates SIGTERM/SIGINT into
-/// RequestDrain() and SIGHUP into RequestReload(). SIGPIPE is ignored
+/// RequestDrain() and SIGHUP into ModelHost::Reload(). SIGPIPE is ignored
 /// (sends also pass MSG_NOSIGNAL) so a client hanging up mid-response is
 /// an error return, not process death.
 /// @{

@@ -42,6 +42,9 @@ expect_usage_error pipeline --retry-max banana --size 100
 expect_usage_error pipeline --fault-plan sites=nosuchsite --size 100
 expect_usage_error pipeline --deadline-ms -5 --size 100
 expect_usage_error generate --size 99999999999999999999
+expect_usage_error generate --size 9223372036854775807
+expect_usage_error generate --size 1048577
+expect_usage_error study --sample 1048577
 expect_usage_error generate --deadline-ms 9223372036854775807
 
 # Bad serving flags, and batch flags the daemon does not take.

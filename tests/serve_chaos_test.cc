@@ -279,7 +279,7 @@ TEST_F(ServeChaosTest, SlowlorisHeaderDripHitsReadTimeout) {
       HttpFetch(server.port(), "GET", "/healthz", "");
   ASSERT_TRUE(health.ok()) << health.status();
   EXPECT_EQ(health->status, 200);
-  EXPECT_GE(server.stats().requests_deadline.load(), 1u);
+  EXPECT_GE(server.answered(Outcome::kDeadline), 1u);
   server.RequestDrain();
   server.AwaitDrain();
 }

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "coach/coach_lm.h"
@@ -17,6 +18,8 @@
 #include "common/checkpoint.h"
 #include "common/clock.h"
 #include "common/execution.h"
+#include "common/fault.h"
+#include "common/metrics.h"
 #include "common/report.h"
 #include "common/trace.h"
 #include "expert/pipeline.h"
@@ -531,7 +534,7 @@ TEST_F(ServeTest, QueueFullShedsWithRetryAfter) {
   EXPECT_GE(shed.load(), 1) << "expected at least one 429 shed";
   EXPECT_TRUE(saw_retry_after.load());
   EXPECT_EQ(other.load(), 0);
-  EXPECT_EQ(server.stats().requests_shed.load(),
+  EXPECT_EQ(server.answered(Outcome::kShed),
             static_cast<uint64_t>(shed.load()));
 }
 
@@ -639,7 +642,7 @@ TEST_F(ServeTest, SigtermDrainAnswersEveryAdmittedRequest) {
   // connections_accepted exactly, so nobody was dropped mid-response.
   EXPECT_EQ(answered.load() + refused.load(), kClients);
   EXPECT_EQ(static_cast<uint64_t>(answered.load()),
-            server.stats().connections_accepted.load());
+            server.connections_accepted());
   EXPECT_GE(answered.load(), 1);
   // Listener closed first (and stays closed): a late connect is refused.
   Result<ParsedHttpResponse> late = HttpFetch(port, "GET", "/healthz", "");
@@ -672,6 +675,104 @@ TEST_F(ServeTest, AcceptSiteFaultIsTypedAtTheConnection) {
             std::string::npos);
   server.RequestDrain();
   server.AwaitDrain();
+}
+
+TEST_F(ServeTest, FaultStreamsAreKeyedByTheAcceptSequenceNumber) {
+  // The k-th accepted connection carries request id k through the whole
+  // server: its serve.accept fault and its serve.parse fault are both the
+  // injector's decision for item k, whichever worker serves it.
+  ServeConfig config = Config();
+  config.fault_plan =
+      FaultPlan::Parse("rate=0.5,seed=7,sites=serve.accept+serve.parse")
+          .ValueOrDie();
+  const FaultInjector oracle(config.fault_plan);
+  constexpr uint64_t kRequests = 24;
+  std::vector<int> expected;
+  uint64_t accept_faults = 0;
+  uint64_t parse_faults = 0;
+  for (uint64_t k = 0; k < kRequests; ++k) {
+    const Status accept = oracle.Inject(FaultSite::kServeAccept, k, 1);
+    const Status parse = oracle.Inject(FaultSite::kServeParse, k, 1);
+    if (!accept.ok()) {
+      ++accept_faults;
+      expected.push_back(HttpStatusFromStatus(accept));
+    } else if (!parse.ok()) {
+      ++parse_faults;
+      expected.push_back(HttpStatusFromStatus(parse));
+    } else {
+      expected.push_back(200);
+    }
+  }
+  // The plan must exercise all three paths for the sequence to mean much.
+  EXPECT_GT(accept_faults, 0u);
+  EXPECT_GT(parse_faults, 0u);
+  EXPECT_LT(accept_faults + parse_faults, kRequests);
+
+  ModelHost host(config.checkpoint, config.coach);
+  ASSERT_TRUE(host.Load().ok());
+  RevisionServer server(config, &host);
+  ASSERT_TRUE(server.StartServing().ok());
+  std::vector<int> served;
+  for (uint64_t k = 0; k < kRequests; ++k) {
+    Result<ParsedHttpResponse> response =
+        HttpFetch(server.port(), "POST", "/v1/revise", BodyFor(1));
+    ASSERT_TRUE(response.ok()) << response.status();
+    served.push_back(response->status);
+  }
+  server.RequestDrain();
+  server.AwaitDrain();
+  EXPECT_EQ(served, expected);
+  EXPECT_EQ(server.connections_accepted(), kRequests);
+}
+
+TEST_F(ServeTest, OutcomeTallyAgreesWithTheRunReportCounters) {
+  // Every response is classified once: the server's tally and the
+  // serve.requests_* counters are the same numbers, and they add up to
+  // the connections accepted. A transient accept fault answers 503 or
+  // 504, so the plan covers two outcome classes.
+  Observability::Default().Enable(/*deterministic=*/true);
+  MetricsRegistry::Default().Reset();
+  ServeConfig config = Config();
+  config.fault_plan =
+      FaultPlan::Parse("rate=1.0,seed=7,sites=serve.accept").ValueOrDie();
+  ModelHost host(config.checkpoint, config.coach);
+  ASSERT_TRUE(host.Load().ok());
+  RevisionServer server(config, &host);
+  ASSERT_TRUE(server.StartServing().ok());
+  constexpr uint64_t kRequests = 30;
+  for (uint64_t k = 0; k < kRequests; ++k) {
+    Result<ParsedHttpResponse> response =
+        HttpFetch(server.port(), "GET", "/healthz", "");
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_GE(response->status, 500);
+  }
+  server.RequestDrain();
+  server.AwaitDrain();
+
+  const std::vector<std::pair<Outcome, const char*>> table = {
+      {Outcome::kOk, "serve.requests_ok"},
+      {Outcome::kShed, "serve.requests_shed"},
+      {Outcome::kClientError, "serve.requests_client_error"},
+      {Outcome::kServerError, "serve.requests_server_error"},
+      {Outcome::kDeadline, "serve.requests_deadline_exceeded"},
+  };
+  MetricsRegistry& registry = MetricsRegistry::Default();
+  uint64_t total = 0;
+  for (const auto& [outcome, metric] : table) {
+    EXPECT_EQ(server.answered(outcome), registry.FindCounter(metric)->value())
+        << metric;
+    total += server.answered(outcome);
+  }
+  EXPECT_GT(server.answered(Outcome::kServerError), 0u);
+  EXPECT_GT(server.answered(Outcome::kDeadline), 0u);
+  EXPECT_EQ(total, kRequests);
+  EXPECT_EQ(server.connections_accepted(), kRequests);
+  EXPECT_EQ(
+      registry.FindCounter("serve.connections_accepted")->value(), kRequests);
+  // Refused connections were never read, so they time nothing.
+  EXPECT_EQ(registry.FindHistogram("serve.latency_health_micros")->count(),
+            0u);
+  Observability::Default().Disable();
 }
 
 TEST_F(ServeTest, StartRejectsInvalidConfigAndMissingModel) {

@@ -45,10 +45,10 @@ inline const FlagTable& CoachlmFlagTable() {
       {"metrics", "print the metric catalog (name, type, unit, stage, help)"},
       {"serve", "revision service on 127.0.0.1 (docs/SERVING.md)"},
     }, {
-      {"size", kInt, kGenerate | kPipeline, "52000", "N", "pairs to synthesize"},
+      {"size", kInt, kGenerate | kPipeline, "52000", "N", "pairs to synthesize (capped at the largest JSON-array corpus the default parse limits read back)", 0, 1 << 20},
       {"seed", kInt, kGenerate | kPipeline, "42", "S", "corpus seed"},
       {"seed", kInt, kStudy, "17", "S", "study sampling seed"},
-      {"sample", kInt, kStudy | kPipeline, "6000", "N", "pairs the expert study examines"},
+      {"sample", kInt, kStudy | kPipeline, "6000", "N", "pairs the expert study examines (capped as --size)", 0, 1 << 20},
       {"study-seed", kInt, kPipeline, "17", "S", "study sampling seed"},
       {"in", kString, kStudy | kRevise | kRate | kConvert, "corpus.json", "FILE", "input corpus"},
       {"corpus-manifest", kString, kStudy | kRevise | kRate | kConvert, nullptr, "FILE", "input shard manifest (overrides --in; revise resumes shard by shard)", 0, 0, check_manifest},

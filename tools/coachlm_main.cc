@@ -671,7 +671,6 @@ Status RunServe(const Flags& flags, const PipelineRuntime* runtime,
     config.fault_plan = runtime->injector().plan();
     config.retry = runtime->policy();
   }
-  COACHLM_RETURN_NOT_OK(config.Validate());
 
   const int processes = static_cast<int>(flags.Int("serve-processes"));
   if (processes > 1) return RunServeSupervised(config, processes, metrics_out);
@@ -693,27 +692,7 @@ Status RunServe(const Flags& flags, const PipelineRuntime* runtime,
   // (SIGTERM/SIGINT) has been requested AND every admitted request got its
   // response. Main() then flushes the run report as for any command.
   server.AwaitDrain();
-  const serve::ServerStats& stats = server.stats();
-  std::printf(
-      "serve drained: %llu connections, %llu ok, %llu shed, %llu client "
-      "errors, %llu server errors, %llu deadline, %llu reloads (%llu "
-      "rejected)\n",
-      static_cast<unsigned long long>(
-          stats.connections_accepted.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          stats.requests_ok.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          stats.requests_shed.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          stats.requests_client_error.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          stats.requests_server_error.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          stats.requests_deadline.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          stats.reloads_ok.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(
-          stats.reloads_rejected.load(std::memory_order_relaxed)));
+  std::printf("serve drained: %s\n", server.DrainSummary().c_str());
   return Status::OK();
 }
 
