@@ -20,8 +20,8 @@ namespace serve {
 /// piece of server state is the model snapshot inside ModelHost. The CLI
 /// maps its flags onto this struct after its flag table has bounded them
 /// (exit 2 on a bad value); Validate() is the library's own guard, run by
-/// RevisionServer::StartServing and WorkerSupervisor::Start for callers
-/// that build a config by hand.
+/// RevisionServer::StartServing for callers that build a config by hand.
+/// Under a supervisor that means in each forked worker, not before forking.
 struct ServeConfig {
   /// TCP port on 127.0.0.1. The CLI requires 1..65535; the library also
   /// accepts 0 (kernel-assigned ephemeral port) so tests and the in-process

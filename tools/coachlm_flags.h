@@ -45,7 +45,7 @@ inline const FlagTable& CoachlmFlagTable() {
       {"metrics", "print the metric catalog (name, type, unit, stage, help)"},
       {"serve", "revision service on 127.0.0.1 (docs/SERVING.md)"},
     }, {
-      {"size", kInt, kGenerate | kPipeline, "52000", "N", "pairs to synthesize (capped at the largest JSON-array corpus the default parse limits read back)", 0, 1 << 20},
+      {"size", kInt, kGenerate | kPipeline, "52000", "N", "pairs to synthesize (2^20 is a generation ceiling; a JSON corpus reads back under the default 256 MiB input limit only up to ~600k pairs)", 0, 1 << 20},
       {"seed", kInt, kGenerate | kPipeline, "42", "S", "corpus seed"},
       {"seed", kInt, kStudy, "17", "S", "study sampling seed"},
       {"sample", kInt, kStudy | kPipeline, "6000", "N", "pairs the expert study examines (capped as --size)", 0, 1 << 20},
